@@ -33,7 +33,9 @@ int main() {
                     name = protocol == exp::Protocol::kRbftUdp ? "RBFT-UDP" : "RBFT-TCP";
                     break;
                 }
-                default: {
+                case exp::Protocol::kAardvark:
+                case exp::Protocol::kSpinning:
+                case exp::Protocol::kPrime: {
                     exp::BaselineScenario scenario;
                     scenario.protocol = protocol;
                     scenario.payload_bytes = payload;

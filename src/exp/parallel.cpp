@@ -1,6 +1,11 @@
 #include "exp/parallel.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <exception>
+#include <thread>
 #include <type_traits>
 
 namespace rbft::exp {
@@ -50,6 +55,66 @@ RunOutput execute(const RunSpec& spec) {
 }
 
 }  // namespace
+
+unsigned default_jobs() {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1U : hw;
+}
+
+unsigned parse_jobs_flag(int& argc, char** argv, unsigned fallback) {
+    unsigned jobs = fallback;
+    int out = 0;
+    for (int i = 0; i < argc; ++i) {
+        const std::string arg = argv[i];
+        long parsed = -1;
+        if (arg == "--jobs" && i + 1 < argc) {
+            parsed = std::strtol(argv[++i], nullptr, 10);
+        } else if (arg.rfind("--jobs=", 0) == 0) {
+            parsed = std::strtol(arg.c_str() + 7, nullptr, 10);
+        } else {
+            argv[out++] = argv[i];
+            continue;
+        }
+        if (parsed > 0) jobs = static_cast<unsigned>(parsed);
+    }
+    argc = out;
+    return jobs;
+}
+
+void parallel_for(std::size_t count, unsigned jobs, const std::function<void(std::size_t)>& fn) {
+    if (count == 0) return;
+    std::vector<std::exception_ptr> errors(count);
+    const auto guarded = [&](std::size_t i) {
+        try {
+            fn(i);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    };
+    const auto workers =
+        static_cast<unsigned>(std::min<std::size_t>(std::max(jobs, 1U), count));
+    if (workers <= 1) {
+        for (std::size_t i = 0; i < count; ++i) guarded(i);
+    } else {
+        std::atomic<std::size_t> next{0};
+        {
+            std::vector<std::jthread> pool;
+            pool.reserve(workers);
+            for (unsigned w = 0; w < workers; ++w) {
+                pool.emplace_back([&] {
+                    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+                        guarded(i);
+                    }
+                });
+            }
+        }  // jthread dtors join: all jobs have finished past this brace
+    }
+    // First-failure propagation, deterministically: the lowest submission
+    // index wins no matter which worker hit it first.
+    for (auto& error : errors) {
+        if (error) std::rethrow_exception(error);
+    }
+}
 
 std::vector<RunOutput> run_specs(const std::vector<RunSpec>& specs, unsigned jobs) {
     std::vector<RunOutput> outputs(specs.size());

@@ -14,6 +14,7 @@
 // rethrown — identical behavior at --jobs 1 and --jobs N.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "exp/chaos.hpp"
-#include "exp/pool.hpp"
 #include "exp/runners.hpp"
 
 namespace rbft::exp {
@@ -65,9 +65,20 @@ struct RunSpec {
     [[nodiscard]] double sim_seconds() const;
 };
 
-// default_jobs(), parse_jobs_flag() and parallel_for() moved to
-// exp/pool.hpp (included above) so leaf layers can use the pool without
-// the experiment engine; they remain in namespace rbft::exp.
+/// Default worker count: hardware_concurrency, at least 1.
+[[nodiscard]] unsigned default_jobs();
+
+/// Strips a `--jobs N` / `--jobs=N` flag from argv (so downstream parsers
+/// like google-benchmark never see it) and returns the value, or `fallback`
+/// when absent.  0 or unparsable values fall back too.
+[[nodiscard]] unsigned parse_jobs_flag(int& argc, char** argv, unsigned fallback);
+
+/// Runs fn(0..count-1) on up to `jobs` workers.  All indices execute even
+/// if some throw; afterwards the lowest-index exception (if any) is
+/// rethrown.  jobs <= 1 runs inline on the calling thread.  Callers that
+/// write into index-addressed output slots therefore observe results
+/// independent of scheduling.
+void parallel_for(std::size_t count, unsigned jobs, const std::function<void(std::size_t)>& fn);
 
 /// Executes every spec on the pool; result i corresponds to specs[i].
 [[nodiscard]] std::vector<RunOutput> run_specs(const std::vector<RunSpec>& specs, unsigned jobs);

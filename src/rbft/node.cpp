@@ -196,6 +196,9 @@ void Node::on_message(net::Address from, const net::MessagePtr& m) {
         case net::MsgType::kNewView: {
             if (from.kind != net::Address::Kind::kNode) return;
             InstanceId instance{};
+#pragma GCC diagnostic push
+            // The outer dispatch admits only the ordering types listed here.
+#pragma GCC diagnostic ignored "-Wswitch-enum"
             switch (m->type()) {
                 case net::MsgType::kPrePrepare:
                     instance = static_cast<const bft::PrePrepareMsg&>(*m).instance;
@@ -219,9 +222,10 @@ void Node::on_message(net::Address from, const net::MessagePtr& m) {
                 case net::MsgType::kNewView:
                     instance = static_cast<const bft::NewViewMsg&>(*m).instance;
                     break;
-                default:  // RBFT_LINT_ALLOW(switch-enum-default)
+                default:
                     return;  // unreachable: restricted by the outer dispatch
             }
+#pragma GCC diagnostic pop
             if (raw(instance) >= engines_.size()) return;
             engines_[raw(instance)]->on_message(NodeId{from.index}, m);
             break;

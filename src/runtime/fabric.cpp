@@ -70,7 +70,7 @@ void SocketFabric::send(net::Address from, net::Address to, net::MessagePtr mess
         return;
     }
 
-    const auto bytes = net::encode_envelope(from, *message);
+    const auto bytes = encode_envelope(from, *message);
     if (!bytes.has_value()) {
         ++stats_.unencodable_dropped;
         return;
@@ -99,7 +99,7 @@ net::Nic& SocketFabric::nic(NodeId /*owner*/, net::Address remote) {
 }
 
 void SocketFabric::handle_frame(ConnId conn, Bytes payload) {
-    auto env = net::decode_envelope(BytesView(payload.data(), payload.size()));
+    auto env = decode_envelope(BytesView(payload.data(), payload.size()));
     if (!env.has_value()) {
         ++stats_.decode_rejected;
         // Quarantine: close the sender's NIC (if the connection had claimed

@@ -13,7 +13,7 @@
 // broadcast-to-self.
 //
 // Adversarial input handling: every inbound frame is decoded with
-// net::decode_envelope (never trusts a byte); a connection whose stream
+// decode_envelope (never trusts a byte); a connection whose stream
 // fails framing or envelope decoding is poisoned — closed immediately —
 // and, when it had already claimed a sender identity, that identity's
 // receive NIC is administratively closed for `quarantine` (the same
@@ -27,9 +27,9 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "net/envelope.hpp"
 #include "net/fabric.hpp"
 #include "runtime/config.hpp"
+#include "runtime/envelope.hpp"
 #include "runtime/transport.hpp"
 #include "sim/simulator.hpp"
 

@@ -3,7 +3,7 @@
 // Wire layout of one frame (little-endian):
 //   u32  magic   (kFrameMagic — catches desync and non-protocol peers)
 //   u32  length  (payload bytes; 0 < length <= kMaxFramePayload)
-//   ...  payload (one net::Envelope)
+//   ...  payload (one runtime::Envelope)
 //
 // FrameReader is an incremental parser over an arbitrary stream of chunks:
 // TCP gives no message boundaries, so a frame may arrive a byte at a time

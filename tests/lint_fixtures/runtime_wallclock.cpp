@@ -1,5 +1,5 @@
 // Planted det-wallclock + det-random violations, exercised by the
-// exempt_dirs gate: the *same text* must produce zero determinism findings
+// src/runtime exemption: the *same text* must produce zero determinism findings
 // when analyzed under a src/runtime/ path and the usual findings under a
 // protocol-critical path.  Analyzer input only — never compiled.
 #include <chrono>

@@ -1,16 +1,10 @@
 // Lint fixture: RBFT_LINT_ALLOW suppressions on otherwise-flagged sites.
-enum class Kind { kA, kB };
+#include <cstdlib>
 
-int tag(Kind k, int raw) {
+int jitter(int raw) {
     if (raw >= 0) {
-        switch (static_cast<Kind>(raw)) {
-            case Kind::kA: return 1;
-            default: return 0;  // RBFT_LINT_ALLOW(switch-enum-default)
-        }
+        return rand() % 7;  // RBFT_LINT_ALLOW(det-random)
     }
-    switch (k) {
-        case Kind::kB: return 2;
-        // RBFT_LINT_ALLOW(*)
-        default: return 3;
-    }
+    // RBFT_LINT_ALLOW(*)
+    return rand() % 3;
 }

@@ -97,9 +97,20 @@ private:
                 return static_cast<const ViewChangeMsg&>(m).replica;
             case net::MsgType::kNewView:
                 return static_cast<const NewViewMsg&>(m).primary;
-            default:
-                return NodeId{0};
+            case net::MsgType::kRequest:
+            case net::MsgType::kReply:
+            case net::MsgType::kPropagate:
+            case net::MsgType::kInstanceChange:
+            case net::MsgType::kPoRequest:
+            case net::MsgType::kPoAck:
+            case net::MsgType::kPrimeOrder:
+            case net::MsgType::kRttProbe:
+            case net::MsgType::kRttEcho:
+            case net::MsgType::kPrimeSuspect:
+            case net::MsgType::kFlood:
+                break;  // the engine test only routes ordering traffic
         }
+        return NodeId{0};
     }
 
     crypto::KeyStore keys_;

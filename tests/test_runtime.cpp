@@ -18,11 +18,11 @@
 
 #include "bft/messages.hpp"
 #include "common/backoff.hpp"
-#include "net/envelope.hpp"
 #include "net/flood.hpp"
 #include "rbft/messages.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/config.hpp"
+#include "runtime/envelope.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/fabric.hpp"
 #include "runtime/frame.hpp"
@@ -156,9 +156,9 @@ TEST(Envelope, RequestRoundTrip) {
     req.client = ClientId{7};
     req.rid = RequestId{123};
     req.payload = {9, 8, 7};
-    const auto bytes = net::encode_envelope(net::Address::client(ClientId{7}), req);
+    const auto bytes = encode_envelope(net::Address::client(ClientId{7}), req);
     ASSERT_TRUE(bytes.has_value());
-    const auto env = net::decode_envelope(BytesView(*bytes));
+    const auto env = decode_envelope(BytesView(*bytes));
     ASSERT_TRUE(env.has_value());
     EXPECT_EQ(env->from, net::Address::client(ClientId{7}));
     ASSERT_EQ(env->message->type(), net::MsgType::kRequest);
@@ -175,39 +175,39 @@ TEST(Envelope, PhaseTagMismatchRejected) {
     bft::PhaseMsg prepare;
     prepare.phase = bft::PhaseMsg::Phase::kPrepare;
     prepare.seq = SeqNum{5};
-    auto bytes = net::encode_envelope(net::Address::node(NodeId{1}), prepare);
+    auto bytes = encode_envelope(net::Address::node(NodeId{1}), prepare);
     ASSERT_TRUE(bytes.has_value());
-    ASSERT_TRUE(net::decode_envelope(BytesView(*bytes)).has_value());
+    ASSERT_TRUE(decode_envelope(BytesView(*bytes)).has_value());
     // Flip the outer tag from kPrepare (21) to kCommit (22): byte 5 (after
     // u8 kind + u32 index) is the low byte of the u16 type.
     (*bytes)[5] = 22;
-    EXPECT_FALSE(net::decode_envelope(BytesView(*bytes)).has_value());
+    EXPECT_FALSE(decode_envelope(BytesView(*bytes)).has_value());
 }
 
 TEST(Envelope, SimOnlyTypesHaveNoWireForm) {
     const net::FloodMsg flood(1024, net::FloodMsg::Target::kReplica);
-    EXPECT_FALSE(net::encode_envelope(net::Address::node(NodeId{0}), flood).has_value());
+    EXPECT_FALSE(encode_envelope(net::Address::node(NodeId{0}), flood).has_value());
 }
 
 TEST(Envelope, TruncationAndTrailingGarbageRejected) {
     core::InstanceChangeMsg ic;
     ic.cpi = 3;
     ic.sender = NodeId{2};
-    const auto bytes = net::encode_envelope(net::Address::node(NodeId{2}), ic);
+    const auto bytes = encode_envelope(net::Address::node(NodeId{2}), ic);
     ASSERT_TRUE(bytes.has_value());
     // Every strict prefix must be rejected.
     for (std::size_t len = 0; len < bytes->size(); ++len) {
-        EXPECT_FALSE(net::decode_envelope(BytesView(bytes->data(), len)).has_value())
+        EXPECT_FALSE(decode_envelope(BytesView(bytes->data(), len)).has_value())
             << "accepted a " << len << "-byte truncation";
     }
     Bytes padded = *bytes;
     padded.push_back(0);
-    EXPECT_FALSE(net::decode_envelope(BytesView(padded)).has_value());
+    EXPECT_FALSE(decode_envelope(BytesView(padded)).has_value());
 }
 
 TEST(Envelope, UnknownTypeRejected) {
     const Bytes bogus = {0 /*kind=node*/, 1, 0, 0, 0 /*index=1*/, 0xFF, 0x7F /*type=0x7FFF*/};
-    EXPECT_FALSE(net::decode_envelope(BytesView(bogus)).has_value());
+    EXPECT_FALSE(decode_envelope(BytesView(bogus)).has_value());
 }
 
 // ---------------------------------------------------------------------------

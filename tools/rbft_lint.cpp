@@ -9,20 +9,9 @@
 //                            FILE (CI uploads this so findings annotate PRs)
 //   --baseline FILE          drop findings whose key appears in FILE
 //   --write-baseline FILE    write current findings as a baseline and exit 0
-//   --jobs N                 analyze files on N worker threads (output is
-//                            byte-identical to --jobs 1)
-//   --stats                  print a files/sec self-benchmark line to stderr
-//   --all-protocol-critical  apply determinism rules to every input file
-//   --protocol-dir SUBSTR    replace the default protocol-critical path set
-//                            (repeatable; matched as a substring)
-//   --exempt-dir SUBSTR      replace the default determinism-exempt path set
-//                            (default: /runtime/ — the wall-clock boundary
-//                            layer; repeatable; matched as a substring)
 //
 // Exit status: 0 no findings, 1 findings reported, 2 usage/IO error.
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -79,13 +68,9 @@ namespace {
 
 int main(int argc, char** argv) {
     bool json = false;
-    bool stats = false;
     std::string sarif_path;
     std::string baseline_path;
     std::string write_baseline_path;
-    rbft::lint::Options options;
-    std::vector<std::string> custom_dirs;
-    std::vector<std::string> custom_exempt_dirs;
     std::vector<std::string> inputs;
 
     for (int i = 1; i < argc; ++i) {
@@ -99,26 +84,10 @@ int main(int argc, char** argv) {
         };
         if (arg == "--json") {
             json = true;
-        } else if (arg == "--stats") {
-            stats = true;
         } else if (arg == "--sarif") {
             const char* v = value("--sarif");
             if (v == nullptr) return 2;
             sarif_path = v;
-        } else if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
-            long parsed = -1;
-            if (arg == "--jobs") {
-                const char* v = value("--jobs");
-                if (v == nullptr) return 2;
-                parsed = std::strtol(v, nullptr, 10);
-            } else {
-                parsed = std::strtol(arg.c_str() + 7, nullptr, 10);
-            }
-            if (parsed <= 0) {
-                std::cerr << "rbft_lint: --jobs requires a positive integer\n";
-                return 2;
-            }
-            options.jobs = static_cast<unsigned>(parsed);
         } else if (arg == "--baseline") {
             const char* v = value("--baseline");
             if (v == nullptr) return 2;
@@ -127,21 +96,9 @@ int main(int argc, char** argv) {
             const char* v = value("--write-baseline");
             if (v == nullptr) return 2;
             write_baseline_path = v;
-        } else if (arg == "--all-protocol-critical") {
-            options.all_protocol_critical = true;
-        } else if (arg == "--protocol-dir") {
-            const char* v = value("--protocol-dir");
-            if (v == nullptr) return 2;
-            custom_dirs.emplace_back(v);
-        } else if (arg == "--exempt-dir") {
-            const char* v = value("--exempt-dir");
-            if (v == nullptr) return 2;
-            custom_exempt_dirs.emplace_back(v);
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "usage: rbft_lint [--json] [--sarif FILE] [--baseline FILE]\n"
-                         "                 [--write-baseline FILE] [--jobs N] [--stats]\n"
-                         "                 [--all-protocol-critical] [--protocol-dir SUBSTR]...\n"
-                         "                 [--exempt-dir SUBSTR]... <file-or-dir>...\n";
+                         "                 [--write-baseline FILE] <file-or-dir>...\n";
             return 0;
         } else if (!arg.empty() && arg.front() == '-') {
             std::cerr << "rbft_lint: unknown option '" << arg << "'\n";
@@ -154,25 +111,11 @@ int main(int argc, char** argv) {
         std::cerr << "rbft_lint: no inputs (try --help)\n";
         return 2;
     }
-    if (!custom_dirs.empty()) options.protocol_dirs = custom_dirs;
-    if (!custom_exempt_dirs.empty()) options.exempt_dirs = custom_exempt_dirs;
 
     std::vector<rbft::lint::SourceFile> files;
     if (!gather(inputs, files)) return 2;
 
-    // Wall-clock is fine here: this is tool self-benchmarking, not
-    // simulation state (src/lint itself is outside the determinism gates).
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<rbft::lint::Finding> findings = rbft::lint::analyze(files, options);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    if (stats) {
-        const double rate = secs > 0.0 ? static_cast<double>(files.size()) / secs : 0.0;
-        std::cerr << "rbft_lint: analyzed " << files.size() << " files in "
-                  << static_cast<long>(secs * 1000.0) << " ms ("
-                  << static_cast<long>(rate) << " files/sec, jobs=" << options.jobs
-                  << ")\n";
-    }
+    std::vector<rbft::lint::Finding> findings = rbft::lint::analyze(files, {});
 
     if (!write_baseline_path.empty()) {
         std::ofstream out(write_baseline_path);
