@@ -25,6 +25,7 @@
 
 #include "bft/messages.hpp"
 #include "common/det.hpp"
+#include "common/request_key_set.hpp"
 #include "common/timeseries.hpp"
 #include "common/types.hpp"
 #include "crypto/cost_model.hpp"
@@ -232,6 +233,8 @@ public:
     /// Requests ordered since the last take (monitoring input, §IV-C).
     [[nodiscard]] std::uint64_t take_ordered_window() noexcept { return ordered_window_.take(); }
     [[nodiscard]] std::uint64_t total_ordered() const noexcept { return total_ordered_; }
+    /// Ordered keys stored individually above their client's floor.
+    [[nodiscard]] std::size_t ordered_tail() const noexcept { return ordered_keys_.tail_size(); }
     [[nodiscard]] std::uint64_t preprepares_sent() const noexcept { return preprepares_sent_; }
     [[nodiscard]] std::uint64_t view_changes_completed() const noexcept { return view_changes_done_; }
     [[nodiscard]] std::uint64_t flood_discards() const noexcept { return flood_discards_; }
@@ -329,7 +332,7 @@ private:
     std::map<std::uint64_t, Slot> slots_;  // keyed by raw seq, ordered
     std::deque<RequestRef> pending_;
     det::set<RequestKey> pending_keys_;
-    det::set<RequestKey> ordered_keys_;
+    RequestKeySet ordered_keys_;
     det::map<RequestKey, TimePoint> waiting_since_;
     std::deque<std::pair<RequestKey, TimePoint>> waiting_fifo_;
     std::vector<PrePrepareMsg> buffered_pps_;  // awaiting clearance or view

@@ -58,6 +58,10 @@ enum class RequestId : std::uint64_t {};
 /// Minimum cluster size tolerating `f` faults: N = 3f + 1.
 [[nodiscard]] constexpr std::uint32_t cluster_size(std::uint32_t f) noexcept { return 3 * f + 1; }
 
+/// Largest supported cluster: a node records which peers vouched for a
+/// request as a 64-bit NodeId mask.
+inline constexpr std::uint32_t kMaxNodes = 64;
+
 /// Quorum sizes used throughout PBFT-style protocols.
 [[nodiscard]] constexpr std::uint32_t prepare_quorum(std::uint32_t f) noexcept { return 2 * f; }
 [[nodiscard]] constexpr std::uint32_t commit_quorum(std::uint32_t f) noexcept { return 2 * f + 1; }

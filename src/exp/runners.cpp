@@ -181,8 +181,10 @@ ScenarioOutput run_rbft(const RbftScenario& scenario) {
     ScenarioOutput out;
     out.recorder = recorder;
     out.result = measure_window(recorder->metrics(), window_from, window_to);
+    for (const auto& c : clients) out.requests_outstanding += c->outstanding();
     for (std::uint32_t i = 0; i < cluster.node_count(); ++i) {
         core::Node& node = cluster.node(i);
+        out.node_state.push_back(node.state_sizes());
         if (node.faulty()) continue;
         out.instance_changes += recorder->metrics().counter_value("rbft.instance_changes_done", i);
 

@@ -46,6 +46,11 @@ struct ScenarioOutput {
     /// Per correct node: mean (master, backup) kreq/s measured by the
     /// node's monitoring module over the measurement window (Figs. 9 / 11).
     std::vector<std::pair<double, double>> node_throughputs;
+    /// RBFT: per node, the per-request state left when the run ends after
+    /// its drain (a read-out only; nothing here is exported).
+    std::vector<core::StateSizes> node_state;
+    /// RBFT: requests the clients sent that had not completed by the end.
+    std::uint64_t requests_outstanding = 0;
     /// The observability sink of the run (scenario-supplied, or created by
     /// the runner): all metrics and — when tracing was enabled — the full
     /// protocol trace of the experiment.

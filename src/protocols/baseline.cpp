@@ -134,8 +134,7 @@ void BaselineNode::execute_request(const bft::RequestRef& ref) {
     const Duration cost = req->exec_cost + costs_.mac_op + costs_.send_overhead;
     cpu_.core(0).submit(simulator_, cost, [this, req] {
         const RequestKey key{req->client, req->rid};
-        if (executed_.contains(key)) return;
-        executed_.insert(key);
+        if (!executed_.insert(key)) return;
         ++stats_.requests_executed;
         if (ctr_requests_executed_) ctr_requests_executed_->add();
 

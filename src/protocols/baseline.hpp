@@ -20,6 +20,7 @@
 #include "bft/messages.hpp"
 #include "common/det.hpp"
 #include "common/logging.hpp"
+#include "common/request_key_set.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/keystore.hpp"
 #include "net/flood.hpp"
@@ -122,7 +123,7 @@ protected:
     std::unique_ptr<bft::InstanceEngine> engine_;
 
     det::map<RequestKey, std::shared_ptr<const bft::RequestMsg>> known_requests_;
-    det::set<RequestKey> executed_;
+    RequestKeySet executed_;
     det::map<ClientId, std::pair<RequestId, bft::ReplyMsg>> last_reply_;
     det::set<ClientId> blacklisted_clients_;
 

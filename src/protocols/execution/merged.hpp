@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bft/execution.hpp"
-#include "common/det.hpp"
+#include "common/request_key_set.hpp"
 
 namespace rbft::protocols {
 
@@ -68,7 +68,7 @@ public:
 
 private:
     std::vector<std::deque<bft::RequestRef>> queues_;
-    det::set<RequestKey> emitted_;
+    RequestKeySet emitted_;
     std::uint32_t cursor_ = 0;
 };
 

@@ -295,8 +295,7 @@ void PrimeNode::try_execute() {
 void PrimeNode::execute_po(const PoRequestMsg& po) {
     for (const auto& req : po.requests) {
         const RequestKey key{req->client, req->rid};
-        if (executed_.contains(key)) continue;
-        executed_.insert(key);
+        if (!executed_.insert(key)) continue;
         const Duration cost = req->exec_cost + costs_.mac_op + costs_.send_overhead;
         cpu_.core(0).submit(simulator_, cost, [this, req] {
             bft::ReplyMsg reply;

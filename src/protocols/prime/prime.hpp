@@ -31,6 +31,7 @@
 #include "bft/messages.hpp"
 #include "common/det.hpp"
 #include "common/logging.hpp"
+#include "common/request_key_set.hpp"
 #include "common/timeseries.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/keystore.hpp"
@@ -165,8 +166,8 @@ private:
     std::vector<std::shared_ptr<const bft::RequestMsg>> po_buffer_;
     std::uint64_t my_po_seq_ = 0;
     std::map<PoId, PoState> po_store_;
-    det::set<RequestKey> seen_requests_;
-    det::set<RequestKey> executed_;
+    RequestKeySet seen_requests_;
+    RequestKeySet executed_;
 
     // Ordering state.
     std::uint64_t order_seq_sent_ = 0;

@@ -1,6 +1,7 @@
 #include "rbft/node.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace rbft::core {
@@ -9,6 +10,8 @@ namespace {
 [[nodiscard]] std::uint64_t address_key(net::Address a) noexcept {
     return (static_cast<std::uint64_t>(a.kind) << 32) | a.index;
 }
+
+[[nodiscard]] std::uint64_t node_bit(NodeId id) noexcept { return std::uint64_t{1} << raw(id); }
 }  // namespace
 
 Node::Node(NodeConfig config, sim::Simulator& simulator, net::Fabric& network,
@@ -21,6 +24,7 @@ Node::Node(NodeConfig config, sim::Simulator& simulator, net::Fabric& network,
       costs_(costs),
       service_(std::move(service)),
       cpu_(config.cores) {
+    assert(config_.n <= kMaxNodes && "RequestState::propagated_by is a 64-bit NodeId mask");
     const std::uint32_t instances = config_.instance_count();
     policy_ = config_.execution_policy ? config_.execution_policy(config_.f, instances)
                                        : std::make_unique<bft::MasterOnlyExecution>();
@@ -78,6 +82,17 @@ void Node::make_engines(bool recovering) {
     }
 }
 
+StateSizes Node::state_sizes() const {
+    StateSizes sizes;
+    sizes.requests = requests_.size();
+    for (const auto& [key, state] : requests_) {
+        if (state.request) ++sizes.retained_bodies;
+    }
+    sizes.executed_tail = executed_.tail_size();
+    for (const auto& engine : engines_) sizes.ordered_tail.push_back(engine->ordered_tail());
+    return sizes;
+}
+
 void Node::start() {
     monitor_timer_.start(simulator_, config_.monitoring.period, [this] { monitoring_tick(); });
 }
@@ -119,7 +134,6 @@ void Node::restart() {
     executed_.clear();
     last_reply_.clear();
     blacklisted_clients_.clear();
-    ordering_started_.clear();
     client_latency_.clear();
     master_latency_series_.clear();
     invalid_counts_.clear();
@@ -298,14 +312,14 @@ void Node::verification_receive(net::Address from,
     // Cheap dedup before any crypto: a request already adopted (or being
     // verified) via either path is dropped without re-hashing its body.
     if (auto it = requests_.find(RequestKey{req->client, req->rid});
-        it != requests_.end() && (it->second.request || it->second.verifying)) {
+        it != requests_.end() && (it->second.adopted || it->second.verifying)) {
         verification_core(lane).charge(simulator_, costs_.recv_overhead);
         // Repair mode: a retransmission of an adopted-but-unexecuted request
         // is re-offered with a fresh PROPAGATE.  A replica that lost its
         // volatile state in a crash cannot assemble a propagate quorum from
         // the original PROPAGATEs, which predate its restart; client backoff
         // rate-limits the re-offers.
-        if (config_.engine_retry_interval.ns > 0 && it->second.request &&
+        if (config_.engine_retry_interval.ns > 0 && it->second.adopted &&
             it->second.self_propagated &&
             !executed_.contains(RequestKey{req->client, req->rid})) {
             const auto stored = it->second.request;
@@ -389,8 +403,11 @@ void Node::propagation_self(const std::shared_ptr<const bft::RequestMsg>& req, b
     RequestState& state = requests_[key];
     if (state.self_propagated && !re_offer) return;
     state.self_propagated = true;
-    state.propagated_by.insert(config_.id);
-    if (!state.request) state.request = req;
+    state.propagated_by |= node_bit(config_.id);
+    if (!state.adopted) {
+        state.adopted = true;
+        state.request = req;
+    }
 
     auto prop = net::make_msg<PropagateMsg>(config_.message_pool);
     prop->request = req;
@@ -427,9 +444,9 @@ void Node::propagation_receive(NodeId from, std::shared_ptr<const PropagateMsg> 
         RequestState& state = requests_[key];
         // The sender vouching for the request counts regardless of whether
         // we have finished verifying the body ourselves.
-        state.propagated_by.insert(from);
+        state.propagated_by |= node_bit(from);
 
-        if (!state.request) {
+        if (!state.adopted) {
             if (state.verifying) return;  // verification already queued
             state.verifying = true;
             // First sight of this request: the Verification module checks
@@ -448,9 +465,8 @@ void Node::propagation_receive(NodeId from, std::shared_ptr<const PropagateMsg> 
                                 blacklisted_clients_.insert(req->client);
                                 return;
                             }
-                            RequestState& st = requests_[key];
-                            if (!st.request) st.request = req;
-                            if (!st.self_propagated) propagation_self(req);
+                            // propagation_self adopts the body.
+                            if (!requests_[key].self_propagated) propagation_self(req);
                             maybe_clear(key);
                         });
             return;
@@ -462,8 +478,10 @@ void Node::propagation_receive(NodeId from, std::shared_ptr<const PropagateMsg> 
 
 void Node::maybe_clear(const RequestKey& key) {
     RequestState& state = requests_[key];
-    if (state.cleared || !state.request) return;
-    if (state.propagated_by.size() < propagate_quorum(config_.f)) return;
+    if (state.cleared || !state.adopted) return;
+    if (std::popcount(state.propagated_by) < static_cast<int>(propagate_quorum(config_.f))) {
+        return;
+    }
     state.cleared = true;
     cpu_.core(kDispatchCore).submit(simulator_, microseconds(0.5), [this, key] { dispatch(key); });
 }
@@ -473,7 +491,7 @@ void Node::maybe_clear(const RequestKey& key) {
 
 void Node::dispatch(const RequestKey& key) {
     RequestState& state = requests_[key];
-    if (state.dispatched || !state.request) return;
+    if (state.dispatched || !state.adopted) return;
     state.dispatched = true;
     state.dispatch_time = simulator_.now();
     if (recorder_ && recorder_->observing()) {
@@ -487,6 +505,7 @@ void Node::dispatch(const RequestKey& key) {
     ref.digest = state.request->digest;
     ref.payload_bytes = static_cast<std::uint32_t>(state.request->payload.size());
     for (auto& engine : engines_) engine->submit(ref);
+    if (executed_.contains(key)) state.request.reset();
 }
 
 bool Node::engine_request_cleared(const bft::RequestRef& ref) {
@@ -565,7 +584,7 @@ void Node::sink_conflict(const bft::OrderedBatch&) {
 
 void Node::execute(const bft::RequestRef& ref) {
     auto it = requests_.find(ref.key());
-    if (it == requests_.end() || !it->second.request) return;
+    if (it == requests_.end() || !it->second.adopted) return;
     if (it->second.executed || executed_.contains(ref.key())) return;
     it->second.executed = true;
     const auto req = it->second.request;
@@ -573,8 +592,11 @@ void Node::execute(const bft::RequestRef& ref) {
     const Duration cost = req->exec_cost + costs_.mac_op + costs_.send_overhead;
     cpu_.core(kExecutionCore).submit(simulator_, cost, [this, req] {
         const RequestKey key{req->client, req->rid};
-        if (executed_.contains(key)) return;
-        executed_.insert(key);
+        if (!executed_.insert(key)) return;
+        // Dispatched and executed: nothing reads the body any more.
+        if (auto done = requests_.find(key); done != requests_.end() && done->second.dispatched) {
+            done->second.request.reset();
+        }
         ++stats_.requests_executed;
         if (ctr_requests_executed_) {
             ctr_requests_executed_->add();

@@ -38,6 +38,7 @@
 #include "bft/messages.hpp"
 #include "common/det.hpp"
 #include "common/histogram.hpp"
+#include "common/request_key_set.hpp"
 #include "common/timeseries.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/keystore.hpp"
@@ -163,6 +164,23 @@ struct NodeStats {
     std::uint64_t restarts = 0;
 };
 
+/// Sizes of the node's per-request state (a read-out for tests and soak
+/// runs; nothing is exported).  DESIGN.md lists when each entry is created
+/// and when it is released.
+struct StateSizes {
+    /// Entries in the request table.  Still O(requests): entries are kept
+    /// (without their bodies) so late PROPAGATEs and engine clearance
+    /// queries resolve exactly.
+    std::size_t requests = 0;
+    /// Entries that still hold a request body (adopted, and not yet both
+    /// dispatched and executed).
+    std::size_t retained_bodies = 0;
+    /// Executed keys stored individually above their client's floor.
+    std::size_t executed_tail = 0;
+    /// Per instance: ordered keys stored individually above the floors.
+    std::vector<std::size_t> ordered_tail;
+};
+
 class Node final : public bft::EngineHost, public bft::ExecutionSink {
 public:
     /// Why a node voted INSTANCE_CHANGE (recorded in the trace).
@@ -203,6 +221,7 @@ public:
     // -- Introspection / control ---------------------------------------------
     [[nodiscard]] const NodeConfig& config() const noexcept { return config_; }
     [[nodiscard]] const NodeStats& stats() const noexcept { return stats_; }
+    [[nodiscard]] StateSizes state_sizes() const;
     [[nodiscard]] bft::InstanceEngine& engine(InstanceId i) { return *engines_.at(raw(i)); }
     [[nodiscard]] std::uint32_t instance_count() const noexcept {
         return static_cast<std::uint32_t>(engines_.size());
@@ -281,8 +300,14 @@ public:
 
 private:
     struct RequestState {
+        /// The verified body.  Released once the request is both dispatched
+        /// and executed: past that point only `adopted` is consulted.
         std::shared_ptr<const bft::RequestMsg> request;
-        std::set<NodeId> propagated_by;
+        /// Nodes whose PROPAGATE (or our own) vouched for the request, as a
+        /// bitmask over NodeId (n <= kMaxNodes).
+        std::uint64_t propagated_by = 0;
+        /// The body passed signature verification and was stored here.
+        bool adopted = false;
         /// A signature verification for this request is queued or running;
         /// duplicate copies (direct or propagated) must not re-verify.
         bool verifying = false;
@@ -368,7 +393,7 @@ private:
     std::vector<std::unique_ptr<bft::InstanceEngine>> retired_engines_;
 
     det::map<RequestKey, RequestState> requests_;
-    det::set<RequestKey> executed_;
+    RequestKeySet executed_;
     det::map<ClientId, std::pair<RequestId, bft::ReplyMsg>> last_reply_;
     det::set<ClientId> blacklisted_clients_;
 
@@ -376,7 +401,6 @@ private:
     sim::PeriodicTimer monitor_timer_;
     std::vector<WindowCounter> ordered_counters_;     // per instance (nbreqs_i)
     std::vector<Series> monitor_series_;              // per instance
-    det::map<RequestKey, TimePoint> ordering_started_;
     det::map<ClientId, ClientLatencyStats> client_latency_;
     det::map<ClientId, Series> master_latency_series_;
     std::uint32_t grace_remaining_ = 0;

@@ -262,6 +262,11 @@ std::optional<ClusterSpec> parse_cluster_spec(const std::string& text, std::stri
         set_error(err);
         return std::nullopt;
     }
+    if (f > (kMaxNodes - 1) / 3) {
+        set_error("f must be <= " + std::to_string((kMaxNodes - 1) / 3) + " (at most " +
+                  std::to_string(kMaxNodes) + " nodes)");
+        return std::nullopt;
+    }
     spec.f = static_cast<std::uint32_t>(f);
     spec.batch_max = static_cast<std::uint32_t>(batch_max);
     spec.engine_retry_interval = milliseconds(static_cast<double>(retry_ms));

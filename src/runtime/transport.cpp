@@ -305,6 +305,7 @@ void TcpTransport::poll(Duration max_wait) {
         if (pfd.revents == 0) continue;
         if (ids[i] == 0) {
             // Listener: accept everything waiting.
+            bool accepted = false;
             while (true) {
                 const int fd = ::accept(listen_fd_, nullptr, nullptr);
                 if (fd < 0) break;
@@ -316,6 +317,16 @@ void TcpTransport::poll(Duration max_wait) {
                 ++stats_.accepts;
                 const ConnId id = next_conn_id_++;
                 conns_[id].fd = fd;
+                accepted = true;
+            }
+            // Whoever dialed us is listening by now: make every disconnected
+            // peer due at once instead of waiting out its backoff (a node
+            // that starts before its peers would otherwise sit out the
+            // first reconnect delay).
+            if (accepted) {
+                for (auto& [key, peer] : peers_) {
+                    if (peer.conn == 0 && peer.next_dial > now) peer.next_dial = now;
+                }
             }
             continue;
         }

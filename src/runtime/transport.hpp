@@ -11,7 +11,9 @@
 //    transport keeps dialed at all times — on failure or disconnection it
 //    redials on a capped-exponential-backoff-with-jitter schedule
 //    (BackoffPolicy::reconnect()), so a SIGKILLed-and-restarted replica is
-//    re-adopted without operator action.  Frames sent while the link is
+//    re-adopted without operator action.  Accepting an inbound connection
+//    makes every disconnected peer due at once: a peer that dials us is
+//    listening, so a node started before its peers skips the backoff.  Frames sent while the link is
 //    down are buffered (bounded) and flushed on connect; overflow is
 //    dropped and counted — BFT protocols treat the network as lossy.
 //  * Inbound: accepted connections deliver frames tagged with a ConnId;

@@ -12,6 +12,10 @@
 // wire.bytes_copied / wire.allocs count buffer *churn* only (growth
 // relocations and extraction copies), not serialization work — see
 // net/wire.hpp (WireStats).
+//
+// The same fig7 slice also gates per-request protocol state: once the run
+// drains, no node may still hold a request body, and the watermark key
+// sets may store keys individually only for requests still outstanding.
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -36,27 +40,51 @@ constexpr Budget kFig7WireBudget[] = {
     {"wire.allocs", 0},
 };
 
-TEST(AllocBudget, Fig7SliceStaysWithinWireChurnBudget) {
-    // Same shape as bench_simcore's fig7 slice: fault-free f=1 static
-    // saturated load, fixed seed, profiling on (the profiler is where the
-    // wire churn counters land).
+/// Same shape as bench_simcore's fig7 slice: fault-free f=1 static
+/// saturated load, fixed seed, profiling on (the profiler is where the wire
+/// churn counters land).
+ScenarioOutput run_fig7_slice() {
     RbftScenario scenario;
     scenario.seed = 7;
     scenario.clients = 10;
     scenario.warmup = milliseconds(300.0);
     scenario.measure = milliseconds(700.0);
+    scenario.recorder = std::make_shared<obs::Recorder>();
+    scenario.recorder->enable_profiling();
+    return run_rbft(scenario);
+}
 
-    auto recorder = std::make_shared<obs::Recorder>();
-    recorder->enable_profiling();
-    scenario.recorder = recorder;
-    const ScenarioOutput out = run_rbft(scenario);
+TEST(AllocBudget, Fig7SliceStaysWithinWireChurnBudget) {
+    const ScenarioOutput out = run_fig7_slice();
+    const obs::prof::Profiler& profiler = *out.recorder->profiler();
 
     ASSERT_GT(out.result.kreq_s, 0.0) << "run made no progress; budget check is vacuous";
-    ASSERT_GT(recorder->profiler()->counter_sum("net.bytes_sent"), 0u);
+    ASSERT_GT(profiler.counter_sum("net.bytes_sent"), 0u);
 
     for (const Budget& b : kFig7WireBudget) {
-        EXPECT_LE(recorder->profiler()->counter_sum(b.counter), b.max)
+        EXPECT_LE(profiler.counter_sum(b.counter), b.max)
             << b.counter << " exceeded its checked-in budget";
+    }
+}
+
+TEST(AllocBudget, Fig7SliceReleasesPerRequestStateOnceDrained) {
+    // run_rbft keeps simulating after the load stops, so by the end every
+    // request the clients got through has been executed everywhere.  A
+    // node must then hold no request body, and each grow-only key set may
+    // keep individually stored keys only for requests still outstanding.
+    const ScenarioOutput out = run_fig7_slice();
+    ASSERT_GT(out.result.kreq_s, 0.0);
+    ASSERT_EQ(out.node_state.size(), 4u);
+    for (std::size_t i = 0; i < out.node_state.size(); ++i) {
+        const core::StateSizes& st = out.node_state[i];
+        EXPECT_GT(st.requests, 0u) << "node " << i;
+        EXPECT_EQ(st.retained_bodies, 0u) << "node " << i;
+        EXPECT_LE(st.executed_tail, out.requests_outstanding) << "node " << i;
+        ASSERT_EQ(st.ordered_tail.size(), 2u) << "node " << i;
+        for (std::size_t inst = 0; inst < st.ordered_tail.size(); ++inst) {
+            EXPECT_LE(st.ordered_tail[inst], out.requests_outstanding)
+                << "node " << i << " instance " << inst;
+        }
     }
 }
 

@@ -1,12 +1,15 @@
 // Unit tests for the common substrate: ids/quorums, byte helpers, RNG,
-// histogram, time arithmetic and windowed counters.
+// histogram, request-key sets, time arithmetic and windowed counters.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "common/det.hpp"
 #include "common/histogram.hpp"
 #include "common/logging.hpp"
+#include "common/request_key_set.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "common/timeseries.hpp"
@@ -233,6 +236,100 @@ TEST(LatencyHistogram, SingleValueQuantile) {
 TEST(LatencyHistogram, EmptyQuantileIsZero) {
     LatencyHistogram h;
     EXPECT_EQ(h.quantile(0.5), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// RequestKeySet: per-client watermarks with exact set semantics.
+
+TEST(RequestKeySet, InOrderRidsCollapseIntoTheFloor) {
+    RequestKeySet set;
+    for (std::uint64_t rid = 1; rid <= 1000; ++rid) {
+        EXPECT_TRUE(set.insert({ClientId{3}, RequestId{rid}}));
+    }
+    EXPECT_EQ(set.size(), 1000u);
+    EXPECT_EQ(set.tail_size(), 0u);
+    EXPECT_TRUE(set.contains({ClientId{3}, RequestId{1000}}));
+    EXPECT_FALSE(set.contains({ClientId{3}, RequestId{1001}}));
+    EXPECT_FALSE(set.contains({ClientId{3}, RequestId{0}}));
+    EXPECT_FALSE(set.contains({ClientId{4}, RequestId{1}}));
+}
+
+TEST(RequestKeySet, TailDrainsWhenTheGapFills) {
+    RequestKeySet set;
+    const ClientId c{1};
+    for (std::uint64_t rid : {3u, 5u, 4u, 0u}) EXPECT_TRUE(set.insert({c, RequestId{rid}}));
+    EXPECT_EQ(set.tail_size(), 4u);
+    EXPECT_FALSE(set.insert({c, RequestId{4}}));
+    EXPECT_FALSE(set.contains({c, RequestId{2}}));
+    EXPECT_TRUE(set.insert({c, RequestId{1}}));
+    EXPECT_TRUE(set.insert({c, RequestId{2}}));
+    EXPECT_EQ(set.size(), 6u);
+    EXPECT_EQ(set.tail_size(), 1u);  // rid 0 is never covered by a floor
+    EXPECT_TRUE(set.contains({c, RequestId{0}}));
+    EXPECT_TRUE(set.contains({c, RequestId{5}}));
+    EXPECT_FALSE(set.contains({c, RequestId{6}}));
+}
+
+TEST(RequestKeySet, LargestRidDoesNotWrapTheFloor) {
+    RequestKeySet set;
+    const ClientId c{0};
+    const std::uint64_t max = ~std::uint64_t{0};
+    EXPECT_TRUE(set.insert({c, RequestId{max}}));
+    EXPECT_TRUE(set.contains({c, RequestId{max}}));
+    EXPECT_FALSE(set.contains({c, RequestId{1}}));
+    EXPECT_FALSE(set.contains({c, RequestId{max - 1}}));
+}
+
+TEST(RequestKeySet, MatchesOrderedSetOnRandomizedWorkloads) {
+    // Differential test against the tree it replaces: several clients, each
+    // advancing a request cursor with reordering, duplicates, rid 0,
+    // permanent gaps and occasional clear().  Every insert result, every
+    // size and every membership probe must match the reference.
+    constexpr std::uint32_t kClients = 5;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        RequestKeySet set;
+        det::set<RequestKey> ref;
+        std::vector<std::uint64_t> cursor(kClients, 1);
+        const auto probe = [&](const RequestKey& k) {
+            ASSERT_EQ(set.contains(k), ref.contains(k))
+                << "seed " << seed << " client " << raw(k.client) << " rid " << raw(k.rid);
+        };
+        for (int op = 0; op < 4000; ++op) {
+            const ClientId c{static_cast<std::uint32_t>(rng.next_below(kClients))};
+            std::uint64_t& cur = cursor[raw(c)];
+            std::uint64_t rid = 0;
+            const std::uint64_t kind = rng.next_below(100);
+            if (kind < 55) {
+                rid = cur++;                        // in order
+            } else if (kind < 70) {
+                rid = cur + 1 + rng.next_below(6);  // early arrival
+            } else if (kind < 80) {
+                rid = 1 + rng.next_below(cur + 8);  // duplicate or late fill
+            } else if (kind < 85) {
+                rid = 0;
+            } else if (kind < 95) {
+                cur += 1 + rng.next_below(3);       // a gap that may never fill
+                continue;
+            } else if (kind < 99) {
+                rid = cur + rng.next_below(40);
+            } else {
+                set.clear();
+                ref.clear();
+                continue;
+            }
+            const RequestKey key{c, RequestId{rid}};
+            ASSERT_EQ(set.insert(key), ref.insert(key).second) << "seed " << seed;
+            ASSERT_EQ(set.size(), ref.size()) << "seed " << seed;
+            ASSERT_LE(set.tail_size(), set.size());
+            probe(key);
+            probe({c, RequestId{rng.next_below(cur + 50)}});
+        }
+        for (std::uint32_t c = 0; c < kClients + 1; ++c) {
+            const std::uint64_t top = c < kClients ? cursor[c] + 50 : 50;
+            for (std::uint64_t rid = 0; rid <= top; ++rid) probe({ClientId{c}, RequestId{rid}});
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

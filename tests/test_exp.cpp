@@ -123,6 +123,41 @@ TEST(Runners, BaselineScenarioRunsAndMeasures) {
     EXPECT_NEAR(out.result.kreq_s, 2.0, 0.3);
 }
 
+TEST(StateBounds, TenTimesLongerRunEndsWithTheSameBoundedState) {
+    // Soak check for per-request state: a fault-free saturated run 10x
+    // longer than a short one must end (after run_rbft's drain) with the
+    // same retained-body count and key-set tails, within a small constant.
+    // The request table itself is still O(requests): its entries outlive
+    // their bodies so late PROPAGATEs and engine clearance queries resolve
+    // exactly (see DESIGN.md, state lifetimes).
+    const auto run = [](Duration load) {
+        RbftScenario scenario;
+        scenario.seed = 3;
+        scenario.clients = 10;
+        scenario.warmup = milliseconds(100.0);
+        scenario.measure = load - scenario.warmup;
+        return run_rbft(scenario);
+    };
+    const ScenarioOutput short_run = run(milliseconds(200.0));
+    const ScenarioOutput long_run = run(milliseconds(2000.0));
+    ASSERT_EQ(short_run.node_state.size(), long_run.node_state.size());
+
+    constexpr std::size_t kSlack = 8;
+    for (std::size_t i = 0; i < long_run.node_state.size(); ++i) {
+        const core::StateSizes& s = short_run.node_state[i];
+        const core::StateSizes& l = long_run.node_state[i];
+        EXPECT_LE(l.retained_bodies, s.retained_bodies + kSlack) << "node " << i;
+        EXPECT_LE(l.executed_tail, s.executed_tail + kSlack) << "node " << i;
+        ASSERT_EQ(l.ordered_tail.size(), s.ordered_tail.size());
+        for (std::size_t inst = 0; inst < l.ordered_tail.size(); ++inst) {
+            EXPECT_LE(l.ordered_tail[inst], s.ordered_tail[inst] + kSlack)
+                << "node " << i << " instance " << inst;
+        }
+        // Not bounded (yet): one body-less entry per request seen.
+        EXPECT_GT(l.requests, 5 * s.requests) << "node " << i;
+    }
+}
+
 TEST(Runners, DynamicSpecSpikes) {
     const auto spec = dynamic_spec(10000.0, milliseconds(100.0));
     double max_rate = 0.0;

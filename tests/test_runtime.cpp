@@ -1,8 +1,9 @@
 // Unit tests for the real-node runtime's transport substrate: frame codec
 // round-trips, partial-read reassembly, short-write resume, garbage
-// rejection, the shared reconnect backoff schedule (deterministic with an
-// injected FakeClock), the message envelope codec, the cluster-config
-// parser, and SocketFabric exchanges over real loopback TCP.
+// rejection, the shared reconnect backoff schedule and the redial on an
+// inbound connection (deterministic with an injected FakeClock), the
+// message envelope codec, the cluster-config parser, and SocketFabric
+// exchanges over real loopback TCP.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -242,6 +243,12 @@ TEST(Config, RejectsWrongNodeCount) {
     EXPECT_NE(error.find("requires 4"), std::string::npos) << error;
 }
 
+TEST(Config, RejectsMoreThanMaxNodes) {
+    std::string error;
+    EXPECT_FALSE(parse_cluster_spec(R"({"f": 22, "nodes": []})", &error).has_value());
+    EXPECT_NE(error.find("at most 64 nodes"), std::string::npos) << error;
+}
+
 TEST(Config, RejectsMalformedJson) {
     std::string error;
     EXPECT_FALSE(parse_cluster_spec("{\"f\": 1,,}", &error).has_value());
@@ -379,6 +386,42 @@ TEST(Transport, ReconnectBackoffScheduleWithFakeClock) {
             << "attempt " << attempt << " deviates from the policy schedule";
     }
     EXPECT_EQ(dialer.stats().dials_failed, 6u);
+}
+
+TEST(Transport, InboundConnectionMakesDisconnectedPeersDueNow) {
+    FakeClock clock;
+    const BackoffPolicy policy{milliseconds(25.0), 2.0, seconds(2.0), 0.0};  // no jitter
+    std::string error;
+    // Reserve a port for the late peer, then free it so the first dial to
+    // it is refused.
+    std::uint16_t late_port = 0;
+    {
+        TcpTransport probe(clock, 1);
+        ASSERT_TRUE(probe.listen(0, &error)) << error;
+        late_port = probe.listen_port();
+    }
+    TcpTransport early(clock, 2, policy);
+    ASSERT_TRUE(early.listen(0, &error)) << error;
+    early.add_peer(1, "127.0.0.1", late_port);
+    for (int i = 0; i < 1000 && early.peer_status(1)->attempts == 0; ++i) {
+        early.poll(Duration{});
+    }
+    ASSERT_EQ(early.peer_status(1)->attempts, 1u);
+    ASSERT_GT(early.peer_status(1)->next_dial, clock.now());  // backing off
+
+    // The late peer comes up on the reserved port and dials in.  The clock
+    // never moves, so only the accepted inbound connection can make the
+    // early node redial before its backoff expires.
+    TcpTransport late(clock, 3, policy);
+    ASSERT_TRUE(late.listen(late_port, &error)) << error;
+    late.add_peer(2, "127.0.0.1", early.listen_port());
+    for (int i = 0; i < 2000 && !early.peer_status(1)->connected; ++i) {
+        early.poll(Duration{});
+        late.poll(Duration{});
+    }
+    EXPECT_TRUE(early.peer_status(1)->connected);
+    EXPECT_EQ(early.stats().accepts, 1u);
+    EXPECT_EQ(early.stats().dials_failed, 1u);
 }
 
 TEST(Transport, QueuedFramesFlushWhenListenerAppears) {
