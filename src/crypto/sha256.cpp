@@ -81,6 +81,7 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
 }
 
 void Sha256::update(BytesView data) noexcept {
+    if (data.empty()) return;  // data() may be null: no memcpy
     total_len_ += data.size();
     std::size_t offset = 0;
 

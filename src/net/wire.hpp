@@ -101,6 +101,7 @@ public:
 
 private:
     void append(const std::uint8_t* p, std::size_t n) {
+        if (n == 0) return;  // an empty span's data() may be null: no memcpy
         if (sink_ != nullptr) {
             sink_->update(BytesView(p, n));
             streamed_ += n;

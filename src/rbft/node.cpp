@@ -26,6 +26,7 @@ Node::Node(NodeConfig config, sim::Simulator& simulator, net::Fabric& network,
       cpu_(config.cores) {
     assert(config_.n <= kMaxNodes && "RequestState::propagated_by is a 64-bit NodeId mask");
     const std::uint32_t instances = config_.instance_count();
+    assert(instances < 64 && "RequestState::ordered_by is a 64-bit InstanceId mask");
     policy_ = config_.execution_policy ? config_.execution_policy(config_.f, instances)
                                        : std::make_unique<bft::MasterOnlyExecution>();
     lanes_ = config_.effective_lanes();
@@ -310,19 +311,21 @@ void Node::verification_receive(net::Address from,
     }
 
     // Cheap dedup before any crypto: a request already adopted (or being
-    // verified) via either path is dropped without re-hashing its body.
-    if (auto it = requests_.find(RequestKey{req->client, req->rid});
-        it != requests_.end() && (it->second.adopted || it->second.verifying)) {
+    // verified) via either path, or retired, is dropped without re-hashing
+    // its body.
+    const RequestKey key{req->client, req->rid};
+    const auto found = requests_.find(key);
+    const bool live = found != requests_.end();
+    if (live ? (found->second.adopted || found->second.verifying) : executed_.contains(key)) {
         verification_core(lane).charge(simulator_, costs_.recv_overhead);
         // Repair mode: a retransmission of an adopted-but-unexecuted request
         // is re-offered with a fresh PROPAGATE.  A replica that lost its
         // volatile state in a crash cannot assemble a propagate quorum from
         // the original PROPAGATEs, which predate its restart; client backoff
         // rate-limits the re-offers.
-        if (config_.engine_retry_interval.ns > 0 && it->second.adopted &&
-            it->second.self_propagated &&
-            !executed_.contains(RequestKey{req->client, req->rid})) {
-            const auto stored = it->second.request;
+        if (live && config_.engine_retry_interval.ns > 0 && found->second.adopted &&
+            found->second.self_propagated && !executed_.contains(key)) {
+            const auto stored = found->second.request;
             verification_core(lane)
                 .submit(simulator_, costs_.mac_op, [this, lane, req, stored] {
                     if ((req->corrupt_mac_mask >> raw(config_.id)) & 1) return;
@@ -337,7 +340,7 @@ void Node::verification_receive(net::Address from,
     if (verification_core(lane).backlog(simulator_) > milliseconds(50.0)) {
         return;  // bounded client queue: shed under overload
     }
-    requests_[RequestKey{req->client, req->rid}].verifying = true;
+    requests_[key].verifying = true;
 
     // MAC authenticator check: hash the body once, check our entry.
     const Duration mac_cost =
@@ -400,14 +403,19 @@ void Node::verification_receive(net::Address from,
 
 void Node::propagation_self(const std::shared_ptr<const bft::RequestMsg>& req, bool re_offer) {
     const RequestKey key{req->client, req->rid};
-    RequestState& state = requests_[key];
-    if (state.self_propagated && !re_offer) return;
-    state.self_propagated = true;
-    state.propagated_by |= node_bit(config_.id);
-    if (!state.adopted) {
-        state.adopted = true;
-        state.request = req;
+    if (RequestState* state = live_entry(key)) {
+        if (state->self_propagated && !re_offer) return;
+        state->self_propagated = true;
+        state->propagated_by |= node_bit(config_.id);
+        if (!state->adopted) {
+            state->adopted = true;
+            state->request = req;
+        }
+    } else if (!re_offer) {
+        return;
     }
+    // A retired request still gets a repair-mode re-offer that was queued
+    // before it finished: the re-offer carries its own copy of the body.
 
     auto prop = net::make_msg<PropagateMsg>(config_.message_pool);
     prop->request = req;
@@ -441,7 +449,9 @@ void Node::propagation_receive(NodeId from, std::shared_ptr<const PropagateMsg> 
         const auto& req = msg->request;
         if (!req || blacklisted_clients_.contains(req->client)) return;
         const RequestKey key{req->client, req->rid};
-        RequestState& state = requests_[key];
+        RequestState* entry = live_entry(key);
+        if (!entry) return;  // retired: a late PROPAGATE changes nothing
+        RequestState& state = *entry;
         // The sender vouching for the request counts regardless of whether
         // we have finished verifying the body ourselves.
         state.propagated_by |= node_bit(from);
@@ -476,8 +486,17 @@ void Node::propagation_receive(NodeId from, std::shared_ptr<const PropagateMsg> 
     });
 }
 
+Node::RequestState* Node::live_entry(const RequestKey& key) {
+    const auto it = requests_.lower_bound(key);
+    if (it != requests_.end() && it->first == key) return &it->second;
+    if (executed_.contains(key)) return nullptr;
+    return &requests_.emplace_hint(it, key, RequestState{})->second;
+}
+
 void Node::maybe_clear(const RequestKey& key) {
-    RequestState& state = requests_[key];
+    const auto it = requests_.find(key);
+    if (it == requests_.end()) return;
+    RequestState& state = it->second;
     if (state.cleared || !state.adopted) return;
     if (std::popcount(state.propagated_by) < static_cast<int>(propagate_quorum(config_.f))) {
         return;
@@ -490,7 +509,9 @@ void Node::maybe_clear(const RequestKey& key) {
 // Step 3: Dispatch module.
 
 void Node::dispatch(const RequestKey& key) {
-    RequestState& state = requests_[key];
+    const auto it = requests_.find(key);
+    if (it == requests_.end()) return;
+    RequestState& state = it->second;
     if (state.dispatched || !state.adopted) return;
     state.dispatched = true;
     state.dispatch_time = simulator_.now();
@@ -504,13 +525,27 @@ void Node::dispatch(const RequestKey& key) {
     ref.rid = state.request->rid;
     ref.digest = state.request->digest;
     ref.payload_bytes = static_cast<std::uint32_t>(state.request->payload.size());
+    // submit() can deliver synchronously (a buffered PRE-PREPARE was waiting
+    // for exactly this clearance), and the delivery may retire the entry:
+    // `state` must not be touched past this point.
     for (auto& engine : engines_) engine->submit(ref);
-    if (executed_.contains(key)) state.request.reset();
+    release_finished(key);
+}
+
+void Node::release_finished(const RequestKey& key) {
+    const auto it = requests_.find(key);
+    if (it == requests_.end() || !it->second.dispatched || !executed_.contains(key)) return;
+    const std::uint64_t every_instance = (std::uint64_t{1} << engines_.size()) - 1;
+    if (it->second.ordered_by == every_instance) {
+        requests_.erase(it);
+    } else {
+        it->second.request.reset();
+    }
 }
 
 bool Node::engine_request_cleared(const bft::RequestRef& ref) {
-    auto it = requests_.find(ref.key());
-    return it != requests_.end() && it->second.cleared;
+    const auto it = requests_.find(ref.key());
+    return it != requests_.end() ? it->second.cleared : executed_.contains(ref.key());
 }
 
 void Node::engine_send(InstanceId, NodeId dest, net::MessagePtr m) {
@@ -535,9 +570,18 @@ void Node::engine_ordered(const bft::OrderedBatch& batch) {
     // cross-checks the commit against its speculation record.
     policy_->on_batch_committed(batch, *this);
 
+    const std::uint64_t instance_bit = std::uint64_t{1} << idx;
     for (const auto& ref : batch.requests) {
+        // Only an instance's first delivery of a request is a latency sample:
+        // the re-deliveries that follow an instance change carry stale
+        // dispatch times.  A retired request (no entry) is never sampled.
         auto it = requests_.find(ref.key());
-        if (it != requests_.end() && it->second.dispatched) {
+        bool first = false;
+        if (it != requests_.end()) {
+            first = (it->second.ordered_by & instance_bit) == 0;
+            it->second.ordered_by |= instance_bit;
+        }
+        if (first && it->second.dispatched) {
             const Duration latency = simulator_.now() - it->second.dispatch_time;
             auto& stats = client_latency_[ref.client];
             if (stats.sum.size() < engines_.size()) {
@@ -558,6 +602,7 @@ void Node::engine_ordered(const bft::OrderedBatch& batch) {
             }
         }
         policy_->on_ref_committed(batch, ref, *this);
+        release_finished(ref.key());
     }
     policy_->after_batch(batch, *this);
 }
@@ -592,11 +637,10 @@ void Node::execute(const bft::RequestRef& ref) {
     const Duration cost = req->exec_cost + costs_.mac_op + costs_.send_overhead;
     cpu_.core(kExecutionCore).submit(simulator_, cost, [this, req] {
         const RequestKey key{req->client, req->rid};
-        if (!executed_.insert(key)) return;
-        // Dispatched and executed: nothing reads the body any more.
-        if (auto done = requests_.find(key); done != requests_.end() && done->second.dispatched) {
-            done->second.request.reset();
-        }
+        // A restart since execute() wiped the entry, and this execution with
+        // it: executed_ must gain no key that has no entry (see requests_).
+        if (!requests_.contains(key) || !executed_.insert(key)) return;
+        release_finished(key);
         ++stats_.requests_executed;
         if (ctr_requests_executed_) {
             ctr_requests_executed_->add();

@@ -168,9 +168,9 @@ struct NodeStats {
 /// runs; nothing is exported).  DESIGN.md lists when each entry is created
 /// and when it is released.
 struct StateSizes {
-    /// Entries in the request table.  Still O(requests): entries are kept
-    /// (without their bodies) so late PROPAGATEs and engine clearance
-    /// queries resolve exactly.
+    /// Entries in the request table: requests still in flight.  An entry
+    /// is erased once the request is dispatched, executed and delivered by
+    /// every local instance; the executed key set then answers for it.
     std::size_t requests = 0;
     /// Entries that still hold a request body (adopted, and not yet both
     /// dispatched and executed).
@@ -301,11 +301,16 @@ public:
 private:
     struct RequestState {
         /// The verified body.  Released once the request is both dispatched
-        /// and executed: past that point only `adopted` is consulted.
+        /// and executed (release_finished): past that point only the flags
+        /// are consulted.
         std::shared_ptr<const bft::RequestMsg> request;
         /// Nodes whose PROPAGATE (or our own) vouched for the request, as a
         /// bitmask over NodeId (n <= kMaxNodes).
         std::uint64_t propagated_by = 0;
+        /// Local instances that delivered the request, as a bitmask over
+        /// InstanceId.  Only an instance's first delivery is sampled for
+        /// latency monitoring, and the entry retires once every bit is set.
+        std::uint64_t ordered_by = 0;
         /// The body passed signature verification and was stored here.
         bool adopted = false;
         /// A signature verification for this request is queued or running;
@@ -317,8 +322,8 @@ private:
         bool self_propagated = false;
         bool cleared = false;
         bool dispatched = false;
-        TimePoint dispatch_time{};
         bool executed = false;
+        TimePoint dispatch_time{};
     };
 
     struct ClientLatencyStats {
@@ -334,6 +339,13 @@ private:
                           bool re_offer = false);
     void maybe_clear(const RequestKey& key);
     void dispatch(const RequestKey& key);
+    /// Drops what a request no longer needs once it is dispatched and
+    /// executed: its body, and its whole entry (retirement) once every local
+    /// instance has delivered it too.
+    void release_finished(const RequestKey& key);
+    /// The request's entry, created if absent; null if the request was
+    /// retired (no entry, and executed_ holds its key).
+    RequestState* live_entry(const RequestKey& key);
     void execute(const bft::RequestRef& ref);
     void send_reply(ClientId client, const bft::ReplyMsg& reply);
 
@@ -392,6 +404,10 @@ private:
     // until the node is destroyed.
     std::vector<std::unique_ptr<bft::InstanceEngine>> retired_engines_;
 
+    // In-flight requests only.  A finished request's entry is erased
+    // (release_finished); "no entry, key in executed_" is its tombstone.
+    // That reading is exact because executed_ gains a key only while the key
+    // has an entry, and restart() clears both containers together.
     det::map<RequestKey, RequestState> requests_;
     RequestKeySet executed_;
     det::map<ClientId, std::pair<RequestId, bft::ReplyMsg>> last_reply_;

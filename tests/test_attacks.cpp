@@ -1,6 +1,8 @@
 // Tests for the attack orchestration: each attack must degrade (or evade)
 // exactly the way its paper section describes — and the RBFT defenses must
 // hold.
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "attacks/attacks.hpp"
@@ -88,7 +90,10 @@ TEST(WorstAttack2, NaiveFloodGetsNicClosed) {
 // ---------------------------------------------------------------------------
 // Unfair primary (Fig. 12).
 
-TEST(UnfairPrimary, LatencyBoundEventuallyTriggersInstanceChange) {
+// Node 0's master primary delays client 0's requests until Λ trips an
+// instance change; `check` inspects the cluster after the run.
+void run_unfair_primary(const std::function<void(core::Cluster&, const workload::ClientEndpoint&,
+                                                 const workload::ClientEndpoint&)>& check) {
     core::ClusterConfig cfg;
     cfg.batch_delay = milliseconds(0.3);
     cfg.monitoring.lambda = milliseconds(1.5);
@@ -112,11 +117,33 @@ TEST(UnfairPrimary, LatencyBoundEventuallyTriggersInstanceChange) {
         workload::LoadSpec::constant(1000.0, seconds(1.5), 2), Rng(5));
     load.start();
     cluster.simulator().run_for(seconds(2.0));
+    check(cluster, victim, other);
+}
 
-    EXPECT_GE(cluster.node(1).cpi(), 1u);  // Λ violation detected
-    // Both clients are served before and after the change.
-    EXPECT_EQ(victim.completed(), victim.sent());
-    EXPECT_EQ(other.completed(), other.sent());
+TEST(UnfairPrimary, LatencyBoundEventuallyTriggersInstanceChange) {
+    run_unfair_primary([](core::Cluster& cluster, const workload::ClientEndpoint& victim,
+                          const workload::ClientEndpoint& other) {
+        EXPECT_GE(cluster.node(1).cpi(), 1u);  // Λ violation detected
+        // Both clients are served before and after the change.
+        EXPECT_EQ(victim.completed(), victim.sent());
+        EXPECT_EQ(other.completed(), other.sent());
+    });
+}
+
+TEST(UnfairPrimary, InstanceChangesAddNoSecondLatencySample) {
+    // Every instance change re-delivers requests the master already
+    // ordered.  Only a request's first delivery is a latency sample (the
+    // Ω input and the Fig. 12 series): a re-delivery would add a stale one.
+    run_unfair_primary([](core::Cluster& cluster, const workload::ClientEndpoint& victim,
+                          const workload::ClientEndpoint& other) {
+        ASSERT_GE(cluster.node(1).cpi(), 1u);
+        for (std::uint32_t i = 0; i < 4; ++i) {
+            for (const workload::ClientEndpoint* c : {&victim, &other}) {
+                EXPECT_LE(cluster.node(i).master_latency_series(c->id()).size(), c->sent())
+                    << "node " << i << " client " << raw(c->id());
+            }
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------

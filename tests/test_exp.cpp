@@ -126,10 +126,10 @@ TEST(Runners, BaselineScenarioRunsAndMeasures) {
 TEST(StateBounds, TenTimesLongerRunEndsWithTheSameBoundedState) {
     // Soak check for per-request state: a fault-free saturated run 10x
     // longer than a short one must end (after run_rbft's drain) with the
-    // same retained-body count and key-set tails, within a small constant.
-    // The request table itself is still O(requests): its entries outlive
-    // their bodies so late PROPAGATEs and engine clearance queries resolve
-    // exactly (see DESIGN.md, state lifetimes).
+    // same request-table size, retained-body count and key-set tails,
+    // within a small constant.  Finished requests leave the table; the
+    // executed key set answers late PROPAGATEs and engine clearance queries
+    // for them (see DESIGN.md, state lifetimes).
     const auto run = [](Duration load) {
         RbftScenario scenario;
         scenario.seed = 3;
@@ -146,6 +146,7 @@ TEST(StateBounds, TenTimesLongerRunEndsWithTheSameBoundedState) {
     for (std::size_t i = 0; i < long_run.node_state.size(); ++i) {
         const core::StateSizes& s = short_run.node_state[i];
         const core::StateSizes& l = long_run.node_state[i];
+        EXPECT_LE(l.requests, s.requests + kSlack) << "node " << i;
         EXPECT_LE(l.retained_bodies, s.retained_bodies + kSlack) << "node " << i;
         EXPECT_LE(l.executed_tail, s.executed_tail + kSlack) << "node " << i;
         ASSERT_EQ(l.ordered_tail.size(), s.ordered_tail.size());
@@ -153,8 +154,6 @@ TEST(StateBounds, TenTimesLongerRunEndsWithTheSameBoundedState) {
             EXPECT_LE(l.ordered_tail[inst], s.ordered_tail[inst] + kSlack)
                 << "node " << i << " instance " << inst;
         }
-        // Not bounded (yet): one body-less entry per request seen.
-        EXPECT_GT(l.requests, 5 * s.requests) << "node " << i;
     }
 }
 

@@ -311,5 +311,52 @@ TEST(RbftNode, ExecutionDeduplicatesAcrossDuplicateOrders) {
     }
 }
 
+TEST(RbftNode, RetiredRequestAnswersLateMessagesFromTheExecutedSet) {
+    // Once a request is dispatched, executed and delivered by every local
+    // instance its table entry is erased; the executed key set then answers
+    // for it exactly as the entry did.  A late PROPAGATE or a client
+    // retransmission of an older request must neither revive an entry nor
+    // verify the body again.
+    Cluster cluster(quick_config());
+    cluster.start();
+    ClientEndpoint client(ClientId{0}, cluster.simulator(), cluster.network(), cluster.keys(),
+                          4, 1);
+    for (int i = 0; i < 3; ++i) {
+        client.send_one();
+        cluster.simulator().run_for(milliseconds(50.0));
+    }
+    Node& node = cluster.node(1);
+    for (int step = 0; step < 40 && node.state_sizes().requests > 0; ++step) {
+        cluster.simulator().run_for(milliseconds(50.0));
+    }
+    ASSERT_EQ(client.completed(), 3u);
+    ASSERT_EQ(node.state_sizes().requests, 0u);
+    const NodeStats before = node.stats();
+
+    // rid 1: executed, but not the request whose reply is cached.
+    auto req = std::make_shared<bft::RequestMsg>();
+    req->client = ClientId{0};
+    req->rid = RequestId{1};
+    req->payload.assign(8, 0x11);
+    req->digest = req->signed_digest();
+    auto prop = std::make_shared<PropagateMsg>();
+    prop->request = req;
+    prop->sender = NodeId{2};
+    node.on_message(net::Address::node(NodeId{2}), prop);
+    node.on_message(net::Address::client(ClientId{0}), req);
+    cluster.simulator().run_for(milliseconds(50.0));
+
+    EXPECT_EQ(node.state_sizes().requests, 0u);
+    EXPECT_EQ(node.stats().requests_verified, before.requests_verified);
+    EXPECT_EQ(node.stats().requests_executed, before.requests_executed);
+    EXPECT_EQ(node.stats().replies_resent, before.replies_resent);
+    EXPECT_EQ(node.stats().propagates_received, before.propagates_received + 1);
+    bft::RequestRef ref;
+    ref.client = req->client;
+    ref.rid = req->rid;
+    ref.digest = req->digest;
+    EXPECT_TRUE(node.engine_request_cleared(ref));
+}
+
 }  // namespace
 }  // namespace rbft::core

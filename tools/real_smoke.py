@@ -4,7 +4,8 @@
 Launches N = 4 rbft_noded processes and one closed-loop rbft_client over
 localhost TCP, SIGKILLs one replica mid-run, restarts it, and asserts:
 
-  a) liveness: the client completes all requests through the outage;
+  a) liveness: the client completes all requests through the outage, and
+     no node process other than the SIGKILLed one exits on its own;
   b) catch-up: the restarted node resumes committing via checkpoint state
      transfer and reaches the final sequence number (its log may have a
      hole covering the outage window — that is the design);
@@ -186,6 +187,15 @@ def main():
             _, last = read_log(log("n3b.log"))
             return fail(f"restarted node stuck at seq {last} < {args.requests} (catch-up)")
         print(f"restarted node caught up to seq {args.requests}")
+
+        # Every node except the deliberately SIGKILLed first incarnation of
+        # node 3 must still be running: shutdown() would otherwise terminate
+        # the survivors and hide a node that crashed on its own.
+        for name in ("node0", "node1", "node2", "node3b"):
+            rc = procs[name][0].poll()
+            if rc is not None:
+                return fail(f"{name} exited early with rc={rc}; "
+                            f"log: {log(name + '.out')}")
 
         shutdown()
 
