@@ -6,12 +6,10 @@
 // 90% of calibrated capacity, where latency is the interesting number) and
 // one past it (160%, where completed throughput is).  Merged execution
 // shards request verification across merge_width(f) lanes and consumes all
-// f+1 committed orders, so its completed rate at the over-saturated point
-// must exceed master-only's — the summary point computes that ratio
-// explicitly and the nightly gate tracks it via BENCH_backends.json
-// (tools/bench_diff.py --metric requests_per_sec_wall, plus
-// --gate "Backends/summary/merged_vs_master:merged_over_master_pct:5" to
-// pin the headline ratio).
+// f+1 committed orders, so at the over-saturated point it completes the
+// offered load while master-only's single verification lane cannot; the two
+// loadpct:160 rows show both numbers.  tests/test_backends.cpp
+// (Backends.MergedKeepsUpPastTheMasterOnlyKnee) asserts the merged side.
 #include "bench_util.hpp"
 
 namespace rbft::bench {
@@ -57,59 +55,14 @@ void add_backend_point(Harness& harness, bft::ExecutionBackend backend, int load
                                            {{"kreq_s", result.kreq_s},
                                             {"mean_ms", result.mean_latency_ms},
                                             {"p99_ms", result.p99_ms}}}};
-                          // Wall-derived rate for the bench_diff.py gate.
-                          if (outs[0].wall_seconds > 0.0) {
-                              outcome.perf = {{"requests_per_sec_wall",
-                                               static_cast<double>(result.completed) /
-                                                   outs[0].wall_seconds}};
-                          }
                           return outcome;
                       });
-}
-
-/// The acceptance headline: merged vs master-only completed throughput past
-/// the master-only knee, as one point so the artifact carries the ratio.
-void add_summary_point(Harness& harness) {
-    exp::RunSpec master;
-    master.label = "master-only oversaturated";
-    master.scenario = scenario_for(bft::ExecutionBackend::kMasterOnly, 160);
-    exp::RunSpec merged;
-    merged.label = "merged oversaturated";
-    merged.scenario = scenario_for(bft::ExecutionBackend::kMerged, 160);
-
-    harness.add_point(
-        "Backends/summary/merged_vs_master", {master, merged},
-        [](const std::vector<exp::RunOutput>& outs) {
-            const exp::RunResult& master_result = outs[0].scenario.result;
-            const exp::RunResult& merged_result = outs[1].scenario.result;
-            const double pct = master_result.kreq_s > 0.0
-                                   ? 100.0 * merged_result.kreq_s / master_result.kreq_s
-                                   : 0.0;
-            PointOutcome outcome;
-            outcome.counters = {{"master_kreq_s", master_result.kreq_s},
-                                {"merged_kreq_s", merged_result.kreq_s},
-                                {"merged_over_master_pct", pct}};
-            outcome.rows = {{"Fig7 merged vs master-only @160%",
-                             {{"master_kreq_s", master_result.kreq_s},
-                              {"merged_kreq_s", merged_result.kreq_s},
-                              {"merged_over_master_pct", pct}}}};
-            // Deterministic ratio doubles as a perf gate: a merged-path
-            // regression that erodes the parallel-leader win trips it even
-            // when wall rates drift with the host.
-            outcome.perf = {{"merged_over_master_pct", pct}};
-            char note[128];
-            std::snprintf(note, sizeof(note),
-                          "# merged/master-only completed throughput at 160%% load: %.1f%%", pct);
-            outcome.notes = {note};
-            return outcome;
-        });
 }
 
 void register_points(Harness& harness) {
     for (bft::ExecutionBackend backend : kBackends) {
         for (int load_pct : kLoadPct) add_backend_point(harness, backend, load_pct);
     }
-    add_summary_point(harness);
 }
 
 }  // namespace

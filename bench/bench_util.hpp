@@ -19,14 +19,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -36,7 +35,6 @@
 #include "bft/execution.hpp"
 #include "exp/parallel.hpp"
 #include "exp/runners.hpp"
-#include "obs/prof.hpp"
 
 namespace rbft::bench {
 
@@ -46,13 +44,6 @@ struct Row {
     std::vector<std::pair<std::string, double>> values;
 };
 
-/// Per-zone wall-clock time of a profiled point (schema v2 "wall" block).
-struct WallZone {
-    std::string path;
-    std::uint64_t self_ns = 0;
-    std::uint64_t total_ns = 0;
-};
-
 /// What a point's fold produced from its runs.
 struct PointOutcome {
     std::vector<Row> rows;
@@ -60,36 +51,6 @@ struct PointOutcome {
     std::vector<std::pair<std::string, double>> counters;
     /// Free-form lines printed after the summary (e.g. Fig. 12's series).
     std::vector<std::string> notes;
-
-    // -- Optional profiling blocks (schema v2; omitted from the artifact
-    //    when empty, so unprofiled benches keep their v1-shaped points). ----
-
-    /// Deterministic profile: profiler counters and per-zone call counts,
-    /// both aggregated over node/instance scopes.  Pure functions of the
-    /// run seeds — byte-identical across identical-seed artifact writes.
-    std::vector<std::pair<std::string, std::uint64_t>> profile_counters;
-    std::vector<std::pair<std::string, std::uint64_t>> profile_zone_calls;
-    /// Wall-derived rates (events_per_sec, requests_per_sec_wall, ...).
-    /// Host-dependent: never byte-compared, but gated by tools/bench_diff.py.
-    std::vector<std::pair<std::string, double>> perf;
-    /// Per-zone wall self/total time (host-dependent, non-compared).
-    std::vector<WallZone> wall_zones;
-
-    /// Fills the profiling blocks from a run's live profiler: counters and
-    /// zone calls into the deterministic block, zone times into `wall_zones`.
-    void capture_profile(const obs::prof::Profiler& profiler) {
-        std::map<std::string, std::uint64_t> counter_agg;
-        for (const auto& [key, counter] : profiler.counters()) {
-            counter_agg[key.name] += counter.value();
-        }
-        for (const auto& [name, value] : counter_agg) {
-            profile_counters.emplace_back(name, value);
-        }
-        for (const auto& [path, agg] : profiler.zones_by_path()) {
-            profile_zone_calls.emplace_back(path, agg.calls);
-            wall_zones.push_back(WallZone{path, agg.wall_self_ns, agg.wall_total_ns});
-        }
-    }
 };
 
 /// One experimental point: a benchmark name, the runs it needs, and the
@@ -135,7 +96,9 @@ public:
         }
 
         const unsigned jobs = exp::parse_jobs_flag(argc, argv, exp::default_jobs());
-        const std::size_t max_points = parse_max_points(argc, argv);
+        bool max_points_ok = true;
+        const std::size_t max_points = parse_max_points(argc, argv, max_points_ok);
+        if (!max_points_ok) return 2;
         if (max_points < points_.size()) {
             std::printf("# --max-points %zu: dropping %zu of %zu points\n", max_points,
                         points_.size() - max_points, points_.size());
@@ -188,8 +151,7 @@ public:
         print_summary();
         std::printf("# %zu run(s) across %zu point(s) on %u job(s): %.2f s wall\n", all.size(),
                     points_.size(), jobs, wall);
-        write_artifact(jobs, outputs, first_spec);
-        return 0;
+        return write_artifact(jobs, outputs, first_spec) ? 0 : 1;
     }
 
 private:
@@ -221,21 +183,35 @@ private:
         return backend;
     }
 
-    static std::size_t parse_max_points(int& argc, char** argv) {
+    static std::size_t parse_max_points(int& argc, char** argv, bool& ok) {
         std::size_t max_points = static_cast<std::size_t>(-1);
         int out = 0;
         for (int i = 0; i < argc; ++i) {
             const std::string arg = argv[i];
-            long parsed = -1;
+            std::string value;
             if (arg == "--max-points" && i + 1 < argc) {
-                parsed = std::strtol(argv[++i], nullptr, 10);
+                value = argv[++i];
             } else if (arg.rfind("--max-points=", 0) == 0) {
-                parsed = std::strtol(arg.c_str() + 13, nullptr, 10);
+                value = arg.substr(13);
             } else {
                 argv[out++] = argv[i];
                 continue;
             }
-            if (parsed >= 0) max_points = static_cast<std::size_t>(parsed);
+            // A whole non-negative decimal integer, nothing else: strtoull
+            // alone would read "abc" as 0 and "-1" as a huge count.
+            const bool digits =
+                !value.empty() && value.find_first_not_of("0123456789") == std::string::npos;
+            errno = 0;
+            const unsigned long long parsed =
+                digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
+            if (!digits || errno == ERANGE) {
+                std::fprintf(stderr,
+                             "bench: bad --max-points %s (want a non-negative integer)\n",
+                             value.c_str());
+                ok = false;
+                continue;
+            }
+            max_points = static_cast<std::size_t>(parsed);
         }
         argc = out;
         return max_points;
@@ -275,49 +251,6 @@ private:
         out += '"';
     }
 
-    /// The optional v2 point blocks: ",\"profile\":{...}" (deterministic),
-    /// ",\"perf\":{...}" and ",\"wall\":{...}" (host-dependent).
-    static void append_profile_blocks(std::string& json, const PointOutcome& outcome) {
-        if (!outcome.profile_counters.empty() || !outcome.profile_zone_calls.empty()) {
-            json += ",\"profile\":{\"counters\":{";
-            for (std::size_t i = 0; i < outcome.profile_counters.size(); ++i) {
-                if (i) json += ',';
-                append_escaped(json, outcome.profile_counters[i].first);
-                json += ':' + std::to_string(outcome.profile_counters[i].second);
-            }
-            json += "},\"zones\":[";
-            for (std::size_t i = 0; i < outcome.profile_zone_calls.size(); ++i) {
-                if (i) json += ',';
-                json += "{\"path\":";
-                append_escaped(json, outcome.profile_zone_calls[i].first);
-                json += ",\"calls\":" + std::to_string(outcome.profile_zone_calls[i].second) + "}";
-            }
-            json += "]}";
-        }
-        if (!outcome.perf.empty()) {
-            json += ",\"perf\":{";
-            for (std::size_t i = 0; i < outcome.perf.size(); ++i) {
-                if (i) json += ',';
-                append_escaped(json, outcome.perf[i].first);
-                json += ':';
-                append_number(json, outcome.perf[i].second);
-            }
-            json += "}";
-        }
-        if (!outcome.wall_zones.empty()) {
-            json += ",\"wall\":{\"zones\":[";
-            for (std::size_t i = 0; i < outcome.wall_zones.size(); ++i) {
-                if (i) json += ',';
-                const WallZone& z = outcome.wall_zones[i];
-                json += "{\"path\":";
-                append_escaped(json, z.path);
-                json += ",\"self_ns\":" + std::to_string(z.self_ns);
-                json += ",\"total_ns\":" + std::to_string(z.total_ns) + "}";
-            }
-            json += "]}";
-        }
-    }
-
     static void append_number(std::string& out, double v) {
         if (!std::isfinite(v)) {
             out += "0";
@@ -328,13 +261,12 @@ private:
         out += buf;
     }
 
-    /// BENCH_<name>.json, schema rbft-bench-v2 (v1 plus optional per-point
-    /// "profile" / "perf" / "wall" blocks).  Every field is deterministic
-    /// for a given build except wall_time_s, the perf rates, and the wall
-    /// zone times.
-    void write_artifact(unsigned jobs, const std::vector<exp::RunOutput>& outputs,
-                        const std::vector<std::size_t>& first_spec) const {
-        std::string json = "{\"schema\":\"rbft-bench-v2\",\"bench\":";
+    /// BENCH_<name>.json, schema rbft-bench-v1.  Every field is deterministic
+    /// for a given build except wall_time_s.  Returns false when the file
+    /// cannot be written.
+    [[nodiscard]] bool write_artifact(unsigned jobs, const std::vector<exp::RunOutput>& outputs,
+                                      const std::vector<std::size_t>& first_spec) const {
+        std::string json = "{\"schema\":\"rbft-bench-v1\",\"bench\":";
         append_escaped(json, bench_name_);
         json += ",\"title\":";
         append_escaped(json, title_);
@@ -378,9 +310,7 @@ private:
                 }
                 json += "}}";
             }
-            json += "]";
-            append_profile_blocks(json, outcomes_[p]);
-            json += "}";
+            json += "]}";
         }
         json += "]}\n";
 
@@ -388,12 +318,14 @@ private:
         const std::string path =
             (dir ? std::string(dir) + "/" : std::string()) + "BENCH_" + bench_name_ + ".json";
         std::ofstream out(path);
+        out << json;
+        out.close();
         if (!out) {
             std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-            return;
+            return false;
         }
-        out << json;
         std::printf("# artifact: %s\n", path.c_str());
+        return true;
     }
 
     std::string bench_name_;

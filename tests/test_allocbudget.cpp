@@ -13,11 +13,17 @@
 // relocations and extraction copies), not serialization work — see
 // net/wire.hpp (WireStats).
 //
-// The same fig7 slice also gates per-request protocol state: once the run
-// drains, no node may still hold a request body, and the request table and
-// the watermark key sets may hold individual entries only for requests
-// still outstanding.
+// The same fig7 slice also gates per-request work (events, messages,
+// bytes, MACs, digests, signatures and engine calls per completed request)
+// and per-request protocol state: once the run drains, no node may still
+// hold a request body, and the request table and the watermark key sets
+// may hold individual entries only for requests still outstanding.  Wall
+// time per request is reported by perfbench (perfbench/run.py), not gated
+// here.
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -41,9 +47,29 @@ constexpr Budget kFig7WireBudget[] = {
     {"wire.allocs", 0},
 };
 
-/// Same shape as bench_simcore's fig7 slice: fault-free f=1 static
-/// saturated load, fixed seed, profiling on (the profiler is where the wire
-/// churn counters land).
+/// Per-completed-request work ceilings for the same slice, each set at most
+/// 1% above its measured value.  Deterministic counters, so the ceilings
+/// hold on any host: a change that adds events, messages, bytes, MACs,
+/// digests, signatures or engine calls per request trips them.  Lower a
+/// ceiling when a change legitimately removes work.  An entry starting with
+/// ';' is a zone-path suffix whose call counts are summed over every caller
+/// path (the simulator dispatch chain above it varies).
+struct PerRequestBudget {
+    std::string_view quantity;
+    double max_per_request;
+};
+constexpr PerRequestBudget kFig7WorkBudget[] = {
+    {"sim.events_dispatched", 78.5},              // measured 77.78
+    {"net.messages_sent", 21.75},                 // 21.57
+    {"net.bytes_sent", 6580.0},                   // 6518.9
+    {"crypto.macs_computed", 22.3},               // 22.09
+    {"crypto.digests_computed", 1.075},           // 1.065
+    {"crypto.sigs_computed", 1.01},               // 1.000
+    {";rbft.on_message;bft.on_message", 1.585},   // 1.570
+};
+
+/// Fault-free f=1 static saturated load, fixed seed, profiling on (the
+/// profiler is where the wire churn and work counters land).
 ScenarioOutput run_fig7_slice() {
     RbftScenario scenario;
     scenario.seed = 7;
@@ -65,6 +91,36 @@ TEST(AllocBudget, Fig7SliceStaysWithinWireChurnBudget) {
     for (const Budget& b : kFig7WireBudget) {
         EXPECT_LE(profiler.counter_sum(b.counter), b.max)
             << b.counter << " exceeded its checked-in budget";
+    }
+}
+
+/// A profiler counter's total, or for a ';'-prefixed quantity the calls of
+/// every zone whose path ends with it.
+std::uint64_t work_total(const obs::prof::Profiler& profiler, std::string_view quantity) {
+    if (!quantity.starts_with(';')) return profiler.counter_sum(quantity);
+    std::uint64_t calls = 0;
+    for (const auto& [path, agg] : profiler.zones_by_path()) {
+        if (path.ends_with(quantity)) calls += agg.calls;
+    }
+    return calls;
+}
+
+TEST(AllocBudget, Fig7SliceStaysWithinPerRequestWorkBudget) {
+    const ScenarioOutput out = run_fig7_slice();
+    const obs::prof::Profiler& profiler = *out.recorder->profiler();
+    const std::uint64_t completed = out.recorder->metrics().counter_sum("client.completed");
+    ASSERT_GT(completed, 0u) << "run completed nothing; budget check is vacuous";
+    std::printf("fig7 slice: %llu requests completed\n",
+                static_cast<unsigned long long>(completed));
+
+    for (const PerRequestBudget& b : kFig7WorkBudget) {
+        const std::uint64_t total = work_total(profiler, b.quantity);
+        ASSERT_GT(total, 0u) << b.quantity << " never counted; budget check is vacuous";
+        const double per_request = static_cast<double>(total) / static_cast<double>(completed);
+        std::printf("  %-34s %10.4f per request (ceiling %.4f)\n",
+                    std::string(b.quantity).c_str(), per_request, b.max_per_request);
+        EXPECT_LE(per_request, b.max_per_request)
+            << b.quantity << " exceeded its per-request budget";
     }
 }
 

@@ -3,11 +3,10 @@
 
 Usage: bench_schema_check.py FILE [FILE...]
 
-Accepts schema rbft-bench-v1 and rbft-bench-v2 (written by
-bench/bench_util.hpp):
+Accepts schema rbft-bench-v1 (written by bench/bench_util.hpp):
 
   {
-    "schema": "rbft-bench-v2",
+    "schema": "rbft-bench-v1",
     "bench":  "<snake_case bench name>",
     "title":  "<human title>",
     "jobs":   <positive int>,
@@ -19,20 +18,12 @@ bench/bench_util.hpp):
           {"label": str, "seed": int >= 0,
            "sim_time_s": number >= 0, "wall_time_s": number >= 0}, ...
         ],
-        "rows": [{"label": str, "values": {"<name>": <number>, ...}}, ...],
-        # v2-only, all optional (profiled points only):
-        "profile": {"counters": {"<name>": int >= 0, ...},
-                    "zones": [{"path": str, "calls": int >= 0}, ...]},
-        "perf": {"<name>": <number>, ...},
-        "wall": {"zones": [{"path": str, "self_ns": int >= 0,
-                            "total_ns": int >= 0}, ...]}
+        "rows": [{"label": str, "values": {"<name>": <number>, ...}}, ...]
       }, ...
     ]
   }
 
-Every field is deterministic for a given build except wall_time_s, the
-"perf" rates and the "wall" zone times; the "profile" block is the
-byte-comparable deterministic section.
+Every field is deterministic for a given build except wall_time_s.
 Exit status: 0 all files valid, 1 any violation, 2 usage/IO error.
 Stdlib only — runs on any python3, nothing to install.
 """
@@ -74,55 +65,7 @@ def check_run(errors, where, run):
         errors.append(f"{where}: unexpected keys {sorted(extra)}")
 
 
-def check_nonneg_int(errors, where, value):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        errors.append(f"{where}: expected a non-negative integer, got {value!r}")
-
-
-def check_zone_list(errors, where, zones, fields):
-    if not isinstance(zones, list):
-        errors.append(f"{where}: expected an array")
-        return
-    for i, zone in enumerate(zones):
-        if not isinstance(zone, dict) or not isinstance(zone.get("path"), str):
-            errors.append(f"{where}[{i}]: expected an object with a string path")
-            continue
-        for field in fields:
-            check_nonneg_int(errors, f"{where}[{i}].{field}", zone.get(field))
-        extra = set(zone) - ({"path"} | set(fields))
-        if extra:
-            errors.append(f"{where}[{i}]: unexpected keys {sorted(extra)}")
-
-
-def check_profile(errors, where, profile):
-    if not isinstance(profile, dict):
-        errors.append(f"{where}: expected an object")
-        return
-    counters = profile.get("counters")
-    if not isinstance(counters, dict):
-        errors.append(f"{where}.counters: expected an object")
-    else:
-        for name, value in counters.items():
-            if not isinstance(name, str) or not name:
-                errors.append(f"{where}.counters: non-string or empty key {name!r}")
-            check_nonneg_int(errors, f"{where}.counters[{name!r}]", value)
-    check_zone_list(errors, f"{where}.zones", profile.get("zones"), ("calls",))
-    extra = set(profile) - {"counters", "zones"}
-    if extra:
-        errors.append(f"{where}: unexpected keys {sorted(extra)}")
-
-
-def check_wall(errors, where, wall):
-    if not isinstance(wall, dict):
-        errors.append(f"{where}: expected an object")
-        return
-    check_zone_list(errors, f"{where}.zones", wall.get("zones"), ("self_ns", "total_ns"))
-    extra = set(wall) - {"zones"}
-    if extra:
-        errors.append(f"{where}: unexpected keys {sorted(extra)}")
-
-
-def check_point(errors, where, point, v2):
+def check_point(errors, where, point):
     if not isinstance(point, dict):
         errors.append(f"{where}: expected an object")
         return
@@ -144,16 +87,7 @@ def check_point(errors, where, point, v2):
                 errors.append(f"{where}.rows[{i}]: expected an object with a string label")
                 continue
             check_value_map(errors, f"{where}.rows[{i}].values", row.get("values"))
-    allowed = {"name", "counters", "runs", "rows"}
-    if v2:
-        allowed |= {"profile", "perf", "wall"}
-        if "profile" in point:
-            check_profile(errors, f"{where}.profile", point["profile"])
-        if "perf" in point:
-            check_value_map(errors, f"{where}.perf", point["perf"])
-        if "wall" in point:
-            check_wall(errors, f"{where}.wall", point["wall"])
-    extra = set(point) - allowed
+    extra = set(point) - {"name", "counters", "runs", "rows"}
     if extra:
         errors.append(f"{where}: unexpected keys {sorted(extra)}")
 
@@ -165,9 +99,8 @@ def validate(path):
     if not isinstance(doc, dict):
         return [f"top level: expected an object, got {type(doc).__name__}"]
     schema = doc.get("schema")
-    if schema not in ("rbft-bench-v1", "rbft-bench-v2"):
-        errors.append(
-            f"schema: expected 'rbft-bench-v1' or 'rbft-bench-v2', got {schema!r}")
+    if schema != "rbft-bench-v1":
+        errors.append(f"schema: expected 'rbft-bench-v1', got {schema!r}")
     for key in ("bench", "title"):
         if not isinstance(doc.get(key), str) or not doc[key]:
             errors.append(f"{key}: expected a non-empty string")
@@ -179,7 +112,7 @@ def validate(path):
         errors.append("points: expected a non-empty array")
     else:
         for i, point in enumerate(points):
-            check_point(errors, f"points[{i}]", point, v2=(schema == "rbft-bench-v2"))
+            check_point(errors, f"points[{i}]", point)
     extra = set(doc) - {"schema", "bench", "title", "jobs", "points"}
     if extra:
         errors.append(f"top level: unexpected keys {sorted(extra)}")
