@@ -31,11 +31,9 @@ void register_points(Harness& harness) {
             name, {exp::RunSpec{"chaos-soak", scenario}},
             [seed](const std::vector<exp::RunOutput>& outs) {
                 const exp::ChaosSoakOutput& out = outs[0].chaos;
-                // Folds run serially after the pool, so exporting the trace
-                // here cannot interleave with another seed's export.
-                if (const char* dir = obs::export_dir_from_env()) {
-                    out.recorder->export_to_dir(dir);
-                }
+                // Folds run serially after the pool; the last seed's export
+                // wins.
+                exp::maybe_export(*out.recorder);
                 const double recovery_pct =
                     out.baseline_tail_kreq_s > 0.0
                         ? 100.0 * out.tail_kreq_s / out.baseline_tail_kreq_s

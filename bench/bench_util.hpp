@@ -151,7 +151,8 @@ public:
         print_summary();
         std::printf("# %zu run(s) across %zu point(s) on %u job(s): %.2f s wall\n", all.size(),
                     points_.size(), jobs, wall);
-        return write_artifact(jobs, outputs, first_spec) ? 0 : 1;
+        const bool artifact_ok = write_artifact(jobs, outputs, first_spec);
+        return artifact_ok && !exp::export_failed() ? 0 : 1;
     }
 
 private:

@@ -67,9 +67,10 @@ int main() {
            "phase 3 (recovered):");
 
     std::printf("\ninstance changes performed per node:");
+    const obs::MetricsRegistry& metrics = cluster.recorder().metrics();
     for (std::uint32_t i = 0; i < cluster.node_count(); ++i) {
-        std::printf(" %llu",
-                    static_cast<unsigned long long>(cluster.node(i).stats().instance_changes_done));
+        std::printf(" %llu", static_cast<unsigned long long>(
+                                 metrics.counter_value("rbft.instance_changes_done", i)));
     }
     std::printf("\nall client requests eventually served: %s (%llu/%llu)\n",
                 client.completed() == client.sent() ? "yes" : "NO",

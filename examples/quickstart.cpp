@@ -44,12 +44,15 @@ int main() {
     std::printf("mean latency: %.2f ms\n", client.latencies().summary().mean() * 1e3);
     std::printf("p99  latency: %.2f ms\n", client.latencies().quantile(0.99) * 1e3);
 
+    //    Every protocol event is counted once, in the cluster's metrics
+    //    registry, keyed by (metric, node, instance).
+    const obs::MetricsRegistry& metrics = cluster.recorder().metrics();
     for (std::uint32_t i = 0; i < cluster.node_count(); ++i) {
         core::Node& node = cluster.node(i);
         std::printf(
             "node %u: verified=%llu executed=%llu ordered(master)=%llu ordered(backup)=%llu\n",
-            i, static_cast<unsigned long long>(node.stats().requests_verified),
-            static_cast<unsigned long long>(node.stats().requests_executed),
+            i, static_cast<unsigned long long>(metrics.counter_value("rbft.requests_verified", i)),
+            static_cast<unsigned long long>(metrics.counter_value("rbft.requests_executed", i)),
             static_cast<unsigned long long>(node.engine(InstanceId{0}).total_ordered()),
             static_cast<unsigned long long>(node.engine(InstanceId{1}).total_ordered()));
     }

@@ -19,21 +19,20 @@ InstanceEngine::InstanceEngine(EngineConfig config, sim::Simulator& simulator, s
       host_(host),
       recovering_(config.recovering),
       recorder_(config.recorder) {
+    assert(recorder_ != nullptr && "EngineConfig::recorder is required");
     if (config_.retry_interval.ns > 0) {
         retry_timer_.start(simulator_, config_.retry_interval, [this] { retry_stalled(); });
     }
-    profiler_ = recorder_ ? recorder_->profiler() : nullptr;
-    if (recorder_) {
-        obs::MetricsRegistry& reg = recorder_->metrics();
-        const std::uint32_t node = raw(config_.node);
-        const std::uint32_t inst = raw(config_.instance);
-        ctr_preprepares_sent_ = reg.counter("bft.preprepares_sent", node, inst);
-        ctr_preprepares_accepted_ = reg.counter("bft.preprepares_accepted", node, inst);
-        ctr_batches_delivered_ = reg.counter("bft.batches_delivered", node, inst);
-        ctr_requests_ordered_ = reg.counter("bft.requests_ordered", node, inst);
-        ctr_view_changes_ = reg.counter("bft.view_changes", node, inst);
-        hist_order_latency_ = reg.histogram("bft.order_latency_s", node, inst);
-    }
+    profiler_ = recorder_->profiler();
+    obs::MetricsRegistry& reg = recorder_->metrics();
+    const std::uint32_t node = raw(config_.node);
+    const std::uint32_t inst = raw(config_.instance);
+    ctr_preprepares_sent_ = reg.counter("bft.preprepares_sent", node, inst);
+    ctr_preprepares_accepted_ = reg.counter("bft.preprepares_accepted", node, inst);
+    ctr_batches_delivered_ = reg.counter("bft.batches_delivered", node, inst);
+    ctr_requests_ordered_ = reg.counter("bft.requests_ordered", node, inst);
+    ctr_view_changes_ = reg.counter("bft.view_changes", node, inst);
+    hist_order_latency_ = reg.histogram("bft.order_latency_s", node, inst);
 }
 
 Digest InstanceEngine::batch_digest(const std::vector<RequestRef>& batch) const {
@@ -212,13 +211,10 @@ void InstanceEngine::form_and_send_preprepare(std::vector<RequestRef> batch) {
     core_.charge(simulator_, costs_.digest(batch_ref_bytes(pp->batch.size()) +
                                            pp->embedded_payload_bytes) +
                                  costs_.authenticator_ops(config_.n));
-    ++preprepares_sent_;
-    if (ctr_preprepares_sent_) {
-        ctr_preprepares_sent_->add();
-        recorder_->event({simulator_.now(), obs::EventType::kPrePrepareSent, raw(config_.node),
-                          raw(config_.instance), raw(pp->seq), raw(pp->view),
-                          static_cast<double>(pp->batch.size())});
-    }
+    ctr_preprepares_sent_->add();
+    recorder_->event({simulator_.now(), obs::EventType::kPrePrepareSent, raw(config_.node),
+                      raw(config_.instance), raw(pp->seq), raw(pp->view),
+                      static_cast<double>(pp->batch.size())});
     if (behavior_.inter_batch_gap.ns > 0) {
         next_pp_allowed_ = simulator_.now() + behavior_.inter_batch_gap;
     }
@@ -369,12 +365,10 @@ void InstanceEngine::accept_pre_prepare(const PrePrepareMsg& m) {
     s.pre_prepare = m;
     s.pp_at = simulator_.now();
     last_pp_seen_ = simulator_.now();
-    if (ctr_preprepares_accepted_) {
-        ctr_preprepares_accepted_->add();
-        recorder_->event({simulator_.now(), obs::EventType::kPrePrepareAccepted,
-                          raw(config_.node), raw(config_.instance), raw(m.seq), raw(m.view),
-                          static_cast<double>(m.batch.size())});
-    }
+    ctr_preprepares_accepted_->add();
+    recorder_->event({simulator_.now(), obs::EventType::kPrePrepareAccepted, raw(config_.node),
+                      raw(config_.instance), raw(m.seq), raw(m.view),
+                      static_cast<double>(m.batch.size())});
 
     for (const auto& ref : m.batch) {
         // In-flight: stop offering these in our own future batches.
@@ -435,7 +429,7 @@ void InstanceEngine::try_prepare(SeqNum seq) {
                                  costs_.authenticator_ops(config_.n));
     s.sent_commit = true;
     s.commits.insert(config_.node);
-    if (recorder_ && recorder_->observing()) {
+    if (recorder_->observing()) {
         recorder_->event({simulator_.now(), obs::EventType::kPrepared, raw(config_.node),
                           raw(config_.instance), raw(seq), raw(s.pre_prepare->view), 0.0});
     }
@@ -448,7 +442,7 @@ void InstanceEngine::try_commit(SeqNum seq) {
     if (!s.sent_commit || s.committed) return;
     if (s.commits.size() < effective_commit_quorum()) return;
     s.committed = true;
-    if (recorder_ && recorder_->observing()) {
+    if (recorder_->observing()) {
         recorder_->event({simulator_.now(), obs::EventType::kCommitted, raw(config_.node),
                           raw(config_.instance), raw(seq),
                           raw(s.pre_prepare ? s.pre_prepare->view : view_), 0.0});
@@ -481,18 +475,14 @@ void InstanceEngine::try_deliver() {
             ordered_keys_.insert(ref.key());
             waiting_since_.erase(ref.key());
         }
-        ordered_window_.add(batch.requests.size());
-        total_ordered_ += batch.requests.size();
-        if (ctr_batches_delivered_) {
-            const double order_latency = (simulator_.now() - s.pp_at).seconds();
-            ctr_batches_delivered_->add();
-            ctr_requests_ordered_->add(batch.requests.size());
-            hist_order_latency_->add(order_latency);
-            recorder_->event({simulator_.now(), obs::EventType::kBatchDelivered,
-                              raw(config_.node), raw(config_.instance), raw(batch.seq),
-                              batch.requests.size(), order_latency});
-        }
-        if (recorder_ && recorder_->observing()) {
+        const double order_latency = (simulator_.now() - s.pp_at).seconds();
+        ctr_batches_delivered_->add();
+        ctr_requests_ordered_->add(batch.requests.size());
+        hist_order_latency_->add(order_latency);
+        recorder_->event({simulator_.now(), obs::EventType::kBatchDelivered, raw(config_.node),
+                          raw(config_.instance), raw(batch.seq), batch.requests.size(),
+                          order_latency});
+        if (recorder_->observing()) {
             // Content fingerprint of what was delivered at this sequence
             // number (FNV-1a over the request identities, the same formula
             // the node uses for its commit log) — the agreement oracle's
@@ -550,7 +540,7 @@ void InstanceEngine::maybe_speculate() {
             batch.view = s.pre_prepare->view;
             batch.seq = next_speculate_;
             batch.requests = s.pre_prepare->batch;
-            if (recorder_ && recorder_->observing()) {
+            if (recorder_->observing()) {
                 recorder_->event({simulator_.now(), obs::EventType::kBatchSpeculated,
                                   raw(config_.node), raw(config_.instance), raw(batch.seq),
                                   fingerprint_refs(batch.requests),
@@ -670,7 +660,7 @@ void InstanceEngine::advance_stable(SeqNum seq) {
     if (it == checkpoint_votes_.end()) return;
     if (it->second.size() < commit_quorum(config_.f)) return;
     if (raw(seq) <= raw(last_stable_)) return;
-    if (recorder_ && recorder_->observing()) {
+    if (recorder_->observing()) {
         recorder_->event({simulator_.now(), obs::EventType::kCheckpointStable,
                           raw(config_.node), raw(config_.instance), raw(seq),
                           it->second.size(), 0.0});
@@ -789,7 +779,7 @@ void InstanceEngine::start_view_change(ViewId target) {
     vc_target_ = target;
     vc_started_at_ = simulator_.now();
     sent_new_view_ = false;
-    if (recorder_ && recorder_->observing()) {
+    if (recorder_->observing()) {
         recorder_->event({simulator_.now(), obs::EventType::kViewChangeStart, raw(config_.node),
                           raw(config_.instance), raw(target), 0, 0.0});
     }
@@ -906,12 +896,9 @@ void InstanceEngine::install_view(ViewId v, const std::vector<PreparedProof>& re
     view_ = v;
     in_view_change_ = false;
     recovering_ = false;  // any installed view means we are synced again
-    ++view_changes_done_;
-    if (ctr_view_changes_) {
-        ctr_view_changes_->add();
-        recorder_->event({simulator_.now(), obs::EventType::kViewInstalled, raw(config_.node),
-                          raw(config_.instance), raw(v), 0, 0.0});
-    }
+    ctr_view_changes_->add();
+    recorder_->event({simulator_.now(), obs::EventType::kViewInstalled, raw(config_.node),
+                      raw(config_.instance), raw(v), 0, 0.0});
 
     // Discard votes for views now in the past.
     for (auto it = vc_messages_.begin(); it != vc_messages_.end();) {

@@ -26,7 +26,6 @@
 #include "bft/messages.hpp"
 #include "common/det.hpp"
 #include "common/request_key_set.hpp"
-#include "common/timeseries.hpp"
 #include "common/types.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/keystore.hpp"
@@ -85,7 +84,7 @@ struct EngineConfig {
     /// strictly sequential.
     bool rotating_primary = false;
 
-    /// Observability sink shared by the hosting node (null = disabled).
+    /// Metrics registry and flight recorder of the hosting node; required.
     obs::Recorder* recorder = nullptr;
 
     /// Message pool shared by the hosting node (null = plain make_shared).
@@ -230,13 +229,18 @@ public:
     [[nodiscard]] ViewId view_change_target() const noexcept { return vc_target_; }
     [[nodiscard]] TimePoint view_change_started_at() const noexcept { return vc_started_at_; }
 
-    /// Requests ordered since the last take (monitoring input, §IV-C).
-    [[nodiscard]] std::uint64_t take_ordered_window() noexcept { return ordered_window_.take(); }
-    [[nodiscard]] std::uint64_t total_ordered() const noexcept { return total_ordered_; }
+    // Registry reads; a replica rebuilt after a crash continues the counts.
+    [[nodiscard]] std::uint64_t total_ordered() const noexcept {
+        return ctr_requests_ordered_->value();
+    }
     /// Ordered keys stored individually above their client's floor.
     [[nodiscard]] std::size_t ordered_tail() const noexcept { return ordered_keys_.tail_size(); }
-    [[nodiscard]] std::uint64_t preprepares_sent() const noexcept { return preprepares_sent_; }
-    [[nodiscard]] std::uint64_t view_changes_completed() const noexcept { return view_changes_done_; }
+    [[nodiscard]] std::uint64_t preprepares_sent() const noexcept {
+        return ctr_preprepares_sent_->value();
+    }
+    [[nodiscard]] std::uint64_t view_changes_completed() const noexcept {
+        return ctr_view_changes_->value();
+    }
     [[nodiscard]] std::uint64_t flood_discards() const noexcept { return flood_discards_; }
     [[nodiscard]] std::uint64_t stall_retries() const noexcept { return stall_retries_; }
     [[nodiscard]] bool recovering() const noexcept { return recovering_; }
@@ -362,8 +366,8 @@ private:
     bool silent_replica_ = false;
     PrimaryBehavior behavior_;
 
-    // Observability handles (null when no recorder is attached).
-    obs::Recorder* recorder_ = nullptr;
+    // Registry handles, resolved once in the constructor (profiler_ may be null).
+    obs::Recorder* recorder_;
     obs::prof::Profiler* profiler_ = nullptr;
     obs::Counter* ctr_preprepares_sent_ = nullptr;
     obs::Counter* ctr_preprepares_accepted_ = nullptr;
@@ -372,10 +376,6 @@ private:
     obs::Counter* ctr_view_changes_ = nullptr;
     LatencyHistogram* hist_order_latency_ = nullptr;
 
-    WindowCounter ordered_window_;
-    std::uint64_t total_ordered_ = 0;
-    std::uint64_t preprepares_sent_ = 0;
-    std::uint64_t view_changes_done_ = 0;
     std::uint64_t flood_discards_ = 0;
     std::uint64_t stall_retries_ = 0;
     TimePoint last_repair_at_{};

@@ -81,11 +81,8 @@ ChaosSoakOutput run_one(const ChaosSoakScenario& scenario, const fault::FaultPla
         out.completed += c->completed();
         out.client_retransmissions += c->retransmissions();
     }
-    for (std::uint32_t i = 0; i < cluster.node_count(); ++i) {
-        const core::Node& node = cluster.node(i);
-        out.crashes += node.stats().crashes;
-        out.restarts += node.stats().restarts;
-    }
+    out.crashes = recorder->metrics().counter_sum("rbft.crashes");
+    out.restarts = recorder->metrics().counter_sum("rbft.restarts");
     out.instance_changes = recorder->metrics().counter_sum("rbft.instance_changes_done");
     out.view_changes = recorder->metrics().counter_sum("bft.view_changes");
 

@@ -1,6 +1,8 @@
 #include "exp/runners.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 
@@ -66,19 +68,23 @@ void bridge_crypto_stats(obs::Recorder& recorder, const crypto::KeyStore& keys) 
     profiler->counter("crypto.key_cache_hits")->add(stats.key_cache_hits);
 }
 
-/// Exports to $RBFT_OBS_DIR when set (benches opt in without CLI changes).
-/// Successive runs of one binary overwrite: the last experiment wins.
-/// Serialized so concurrent runs on the worker pool never interleave
-/// writes to the shared metrics.json/trace.json pair.
+// Serializes exports so concurrent runs on the worker pool never interleave
+// writes to the shared metrics.json/trace.json pair.
 std::mutex export_mutex;
-void maybe_export(obs::Recorder& recorder) {
-    if (const char* dir = obs::export_dir_from_env()) {
-        const std::lock_guard<std::mutex> lock(export_mutex);
-        recorder.export_to_dir(dir);
+std::atomic<bool> export_failed_flag{false};
+
+}  // namespace
+
+void maybe_export(const obs::Recorder& recorder) {
+    const char* dir = obs::export_dir_from_env();
+    if (!dir) return;
+    const std::lock_guard<std::mutex> lock(export_mutex);
+    if (!recorder.export_to_dir(dir) && !export_failed_flag.exchange(true)) {
+        std::fprintf(stderr, "cannot export observability data to %s\n", dir);
     }
 }
 
-}  // namespace
+bool export_failed() { return export_failed_flag.load(); }
 
 double service_time(Protocol protocol, std::size_t payload_bytes, Duration exec_cost) {
     const CapacityCoeffs c = coeffs(protocol);
@@ -191,7 +197,8 @@ ScenarioOutput run_rbft(const RbftScenario& scenario) {
         double master_sum = 0.0, backup_sum = 0.0;
         std::uint64_t master_n = 0, backup_n = 0;
         for (std::uint32_t inst = 0; inst < node.instance_count(); ++inst) {
-            for (const auto& [t, kreq] : node.monitor_series(InstanceId{inst}).points) {
+            for (const auto& [t, kreq] :
+                 recorder->metrics().find_series("monitor.kreq_s", i, inst)->points) {
                 if (t < window_from.seconds() || t >= window_to.seconds()) continue;
                 if (inst == 0) {
                     master_sum += kreq;

@@ -126,6 +126,12 @@ struct BaselineScenario {
     return 100.0 * attacked.result.kreq_s / fault_free.result.kreq_s;
 }
 
+/// Exports `recorder` to $RBFT_OBS_DIR when it is set; the runners call it
+/// after every run, and the last run of a binary wins.  A failed export is
+/// reported on stderr once and makes export_failed() true for good.
+void maybe_export(const obs::Recorder& recorder);
+[[nodiscard]] bool export_failed();
+
 /// The dynamic workload used throughout (§VI-A): ramp 1..10 clients, spike
 /// to 50, ramp down, with `per_client_rate` derived from the saturation
 /// rate so the spike saturates the system.

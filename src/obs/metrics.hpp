@@ -7,8 +7,10 @@
 //    the hot path is a single inlined increment;
 //  * everything is owned by ordered maps, so export order — and therefore
 //    the JSON files — is deterministic for a given simulation;
-//  * the registry is passive: instrumented components hold a nullable
-//    obs::Recorder* and skip all work when observability is not attached.
+//  * the registry is the single source of truth: protocol nodes and engines
+//    always record into it and keep no shadow tallies, so every protocol
+//    event is counted exactly once.  Standalone substrate pieces (network,
+//    simulator, clients) may still run without one.
 #pragma once
 
 #include <compare>

@@ -102,22 +102,20 @@ void Recorder::write_trace_json(std::ostream& out) const {
 }
 
 bool Recorder::export_to_dir(const std::string& dir) const {
-    {
-        std::ofstream metrics_file(dir + "/metrics.json");
-        if (!metrics_file) return false;
-        write_metrics_json(metrics_file);
-    }
-    if (tracing_) {
-        std::ofstream trace_file(dir + "/trace.json");
-        if (!trace_file) return false;
-        write_trace_json(trace_file);
-    }
-    if (profiler_) {
-        std::ofstream profile_file(dir + "/profile.json");
-        if (!profile_file) return false;
-        profiler_->write_profile_json(profile_file);
-    }
-    return true;
+    // A file counts as written only if it opened and every byte reached it.
+    const auto write_file = [&dir](const char* name, const auto& write) {
+        std::ofstream out(dir + "/" + name);
+        if (!out) return false;
+        write(out);
+        out.close();
+        return !out.fail();
+    };
+    return write_file("metrics.json", [this](std::ostream& out) { write_metrics_json(out); }) &&
+           (!tracing_ ||
+            write_file("trace.json", [this](std::ostream& out) { write_trace_json(out); })) &&
+           (!profiler_ || write_file("profile.json", [this](std::ostream& out) {
+                profiler_->write_profile_json(out);
+            }));
 }
 
 const char* export_dir_from_env() {

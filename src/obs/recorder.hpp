@@ -3,10 +3,12 @@
 //
 // Usage: construct one Recorder per simulation run, hand a pointer to the
 // components being observed (cluster config, network, simulator, clients),
-// run, then export.  Components treat a null recorder as "observability
-// disabled" and skip all instrumentation, so the disabled-path cost is one
-// pointer test.  Tracing is off by default even with a recorder attached;
-// enable_trace() turns the flight recorder on.
+// run, then export.  Protocol nodes always have one: a cluster without a
+// supplied recorder records into its own, so the registry is where every
+// protocol counter lives.  The simulator, network, clients and fault
+// injector accept a null recorder and then skip their instrumentation.
+// Tracing is off by default; enable_trace() (or a listener) turns event
+// construction on, and profiling stays behind its own nullable pointer.
 //
 // Export is deterministic: registry maps iterate in key order, trace events
 // are written oldest-first with integer nanosecond timestamps, and doubles
@@ -85,8 +87,8 @@ public:
 
     /// Writes `<dir>/metrics.json`, `<dir>/trace.json` (when tracing) and
     /// `<dir>/profile.json` (when profiling).  Returns false if a file could
-    /// not be opened.
-    bool export_to_dir(const std::string& dir) const;
+    /// not be opened or written.
+    [[nodiscard]] bool export_to_dir(const std::string& dir) const;
 
 private:
     MetricsRegistry metrics_;

@@ -95,8 +95,7 @@ void AardvarkNode::tick() {
 }
 
 void AardvarkNode::trigger_view_change() {
-    ++stats_.view_changes_started;
-    if (ctr_view_changes_) ctr_view_changes_->add();
+    ctr_view_changes_->add();
     engine_->start_view_change(next(engine_->view()));
 }
 

@@ -61,7 +61,6 @@ public:
     /// Throughput (req/s) currently required of the primary; the adaptive
     /// attacker reads this to stay just above the detection threshold.
     [[nodiscard]] double required_tps() const noexcept { return required_tps_; }
-    [[nodiscard]] std::uint64_t view_changes() const noexcept { return stats_.view_changes_started; }
 
     void engine_view_installed(InstanceId instance, ViewId view) override;
 

@@ -1,5 +1,7 @@
 #include "protocols/baseline.hpp"
 
+#include <cassert>
+
 namespace rbft::protocols {
 
 BaselineNode::BaselineNode(BaselineConfig config, sim::Simulator& simulator,
@@ -12,7 +14,9 @@ BaselineNode::BaselineNode(BaselineConfig config, sim::Simulator& simulator,
       keys_(keys),
       costs_(costs),
       service_(std::move(service)),
-      cpu_(1) {
+      cpu_(1),
+      recorder_(config.recorder) {
+    assert(recorder_ != nullptr && "BaselineConfig::recorder is required");
     bft::EngineConfig ec;
     ec.instance = InstanceId{0};
     ec.node = config_.id;
@@ -29,17 +33,14 @@ BaselineNode::BaselineNode(BaselineConfig config, sim::Simulator& simulator,
     engine_ = std::make_unique<bft::InstanceEngine>(ec, simulator_, cpu_.core(0), keys_,
                                                     costs_, *this);
 
-    recorder_ = config_.recorder;
-    profiler_ = recorder_ ? recorder_->profiler() : nullptr;
-    if (recorder_) {
-        obs::MetricsRegistry& reg = recorder_->metrics();
-        const std::uint32_t node = raw(config_.id);
-        ctr_requests_verified_ = reg.counter("baseline.requests_verified", node);
-        ctr_requests_invalid_ = reg.counter("baseline.requests_invalid", node);
-        ctr_requests_shed_ = reg.counter("baseline.requests_shed", node);
-        ctr_requests_executed_ = reg.counter("baseline.requests_executed", node);
-        ctr_view_changes_ = reg.counter("baseline.view_changes_started", node);
-    }
+    profiler_ = recorder_->profiler();
+    obs::MetricsRegistry& reg = recorder_->metrics();
+    const std::uint32_t node = raw(config_.id);
+    ctr_requests_verified_ = reg.counter("baseline.requests_verified", node);
+    ctr_requests_invalid_ = reg.counter("baseline.requests_invalid", node);
+    ctr_requests_shed_ = reg.counter("baseline.requests_shed", node);
+    ctr_requests_executed_ = reg.counter("baseline.requests_executed", node);
+    ctr_view_changes_ = reg.counter("baseline.view_changes_started", node);
 }
 
 void BaselineNode::on_message(net::Address from, const net::MessagePtr& m) {
@@ -50,8 +51,7 @@ void BaselineNode::on_message(net::Address from, const net::MessagePtr& m) {
         auto req = std::static_pointer_cast<const bft::RequestMsg>(m);
         if (blacklisted_clients_.contains(req->client)) return;
         if (cpu_.core(0).backlog(simulator_) > config_.max_client_queue_delay) {
-            ++stats_.requests_shed;  // bounded client queue overflow
-            if (ctr_requests_shed_) ctr_requests_shed_->add();
+            ctr_requests_shed_->add();  // bounded client queue overflow
             return;
         }
 
@@ -59,30 +59,24 @@ void BaselineNode::on_message(net::Address from, const net::MessagePtr& m) {
         if (config_.verify_client_signatures) cost += costs_.sig_verify_op;
         cpu_.core(0).submit(simulator_, cost, [this, req] {
             if ((req->corrupt_mac_mask >> raw(config_.id)) & 1) {
-                ++stats_.requests_invalid;
-                if (ctr_requests_invalid_) ctr_requests_invalid_->add();
+                ctr_requests_invalid_->add();
                 return;
             }
             if (config_.verify_client_signatures && req->corrupt_sig) {
-                ++stats_.requests_invalid;
-                if (ctr_requests_invalid_) ctr_requests_invalid_->add();
+                ctr_requests_invalid_->add();
                 blacklisted_clients_.insert(req->client);
                 return;
             }
-            ++stats_.requests_verified;
-            if (ctr_requests_verified_) {
-                ctr_requests_verified_->add();
-                if (recorder_->observing()) {
-                    recorder_->event({simulator_.now(), obs::EventType::kRequestReceived,
-                                      raw(config_.id), obs::kNoInstance, raw(req->client),
-                                      raw(req->rid), 0.0});
-                }
+            ctr_requests_verified_->add();
+            if (recorder_->observing()) {
+                recorder_->event({simulator_.now(), obs::EventType::kRequestReceived,
+                                  raw(config_.id), obs::kNoInstance, raw(req->client),
+                                  raw(req->rid), 0.0});
             }
             offered_window_.add(1);
 
             if (auto it = last_reply_.find(req->client);
                 it != last_reply_.end() && it->second.first == req->rid) {
-                ++stats_.replies_resent;
                 cpu_.core(0).charge(simulator_, costs_.send_overhead);
                 network_.send(net::Address::node(config_.id), net::Address::client(req->client),
                               net::make_msg<bft::ReplyMsg>(config_.message_pool, it->second.second));
@@ -135,8 +129,7 @@ void BaselineNode::execute_request(const bft::RequestRef& ref) {
     cpu_.core(0).submit(simulator_, cost, [this, req] {
         const RequestKey key{req->client, req->rid};
         if (!executed_.insert(key)) return;
-        ++stats_.requests_executed;
-        if (ctr_requests_executed_) ctr_requests_executed_->add();
+        ctr_requests_executed_->add();
 
         bft::ReplyMsg reply;
         reply.client = req->client;

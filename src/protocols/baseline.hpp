@@ -21,6 +21,7 @@
 #include "common/det.hpp"
 #include "common/logging.hpp"
 #include "common/request_key_set.hpp"
+#include "common/timeseries.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/keystore.hpp"
 #include "net/flood.hpp"
@@ -51,8 +52,8 @@ struct BaselineConfig {
     bool order_full_requests = true;  // these protocols order whole requests
     bool rotating_primary = false;
     std::uint64_t checkpoint_interval = 128;
-    /// Observability sink (copied to every node from the cluster template;
-    /// must outlive the cluster).  Null = disabled.
+    /// Metrics registry and flight recorder; required, and must outlive the
+    /// node (ProtocolCluster supplies its own when the template has none).
     obs::Recorder* recorder = nullptr;
     /// Per-run logger threaded to sim::Simulator::set_logger() (must outlive
     /// the cluster); null = logging disabled.
@@ -63,15 +64,6 @@ struct BaselineConfig {
     /// client and replica traffic): client requests are shed when the event
     /// loop is this far behind, so protocol messages keep bounded delay.
     Duration max_client_queue_delay = milliseconds(20.0);
-};
-
-struct BaselineStats {
-    std::uint64_t requests_verified = 0;
-    std::uint64_t requests_invalid = 0;
-    std::uint64_t requests_shed = 0;
-    std::uint64_t requests_executed = 0;
-    std::uint64_t replies_resent = 0;
-    std::uint64_t view_changes_started = 0;
 };
 
 class BaselineNode : public bft::EngineHost {
@@ -91,7 +83,6 @@ public:
 
     [[nodiscard]] bft::InstanceEngine& engine() noexcept { return *engine_; }
     [[nodiscard]] const BaselineConfig& config() const noexcept { return config_; }
-    [[nodiscard]] const BaselineStats& stats() const noexcept { return stats_; }
     [[nodiscard]] sim::CpuCore& core() noexcept { return cpu_.core(0); }
     [[nodiscard]] std::uint64_t take_ordered_window() noexcept { return ordered_window_.take(); }
     [[nodiscard]] std::uint64_t take_offered_window() noexcept { return offered_window_.take(); }
@@ -129,11 +120,10 @@ protected:
 
     WindowCounter ordered_window_;
     WindowCounter offered_window_;  // verified client requests (load signal)
-    BaselineStats stats_;
     bool faulty_ = false;
 
-    // Observability handles (null when no recorder is attached).
-    obs::Recorder* recorder_ = nullptr;
+    // Registry handles, resolved once in the constructor (profiler_ may be null).
+    obs::Recorder* recorder_;
     obs::prof::Profiler* profiler_ = nullptr;
     obs::Counter* ctr_requests_verified_ = nullptr;
     obs::Counter* ctr_requests_invalid_ = nullptr;

@@ -44,29 +44,28 @@ public:
           costs_(costs) {
         if (runtime.pooled_messages) pool_ = std::make_unique<net::MessagePool>();
         network_ = std::make_unique<net::Network>(simulator_, n_, Rng(seed), channel, channel);
-        // Attach observability when the template carries a recorder (directly
-        // for Prime, nested in the shared BaselineConfig for the others).
-        obs::Recorder* recorder = nullptr;
+        // The template's recorder (directly for Prime, nested in the shared
+        // BaselineConfig for the others), else the cluster's own.
         Logger* logger = nullptr;
         if constexpr (requires { node_template.recorder; }) {
-            recorder = node_template.recorder;
+            if (node_template.recorder) recorder_ = node_template.recorder;
             logger = node_template.logger;
         } else {
-            recorder = node_template.base.recorder;
+            if (node_template.base.recorder) recorder_ = node_template.base.recorder;
             logger = node_template.base.logger;
         }
-        if (recorder) {
-            simulator_.set_metrics(&recorder->metrics());
-            simulator_.set_profiler(recorder->profiler());
-            network_->set_recorder(recorder);
-        }
+        simulator_.set_metrics(&recorder_->metrics());
+        simulator_.set_profiler(recorder_->profiler());
+        network_->set_recorder(recorder_);
         simulator_.set_logger(logger);
         for (std::uint32_t i = 0; i < n_; ++i) {
             ConfigT cfg = node_template;
             cfg.assign_topology(NodeId{i}, n_, f_);
             if constexpr (requires { cfg.message_pool; }) {
+                cfg.recorder = recorder_;
                 cfg.message_pool = pool_.get();
             } else {
+                cfg.base.recorder = recorder_;
                 cfg.base.message_pool = pool_.get();
             }
             nodes_.push_back(std::make_unique<NodeT>(cfg, simulator_, *network_, keys_, costs_,
@@ -87,11 +86,16 @@ public:
     [[nodiscard]] net::Network& network() noexcept { return *network_; }
     [[nodiscard]] net::MessagePool* message_pool() noexcept { return pool_.get(); }
     [[nodiscard]] const crypto::KeyStore& keys() const noexcept { return keys_; }
+    /// The template's recorder, or the cluster's own when it has none.
+    [[nodiscard]] obs::Recorder& recorder() noexcept { return *recorder_; }
     [[nodiscard]] NodeT& node(std::uint32_t i) { return *nodes_.at(i); }
     [[nodiscard]] std::uint32_t n() const noexcept { return n_; }
     [[nodiscard]] std::uint32_t f() const noexcept { return f_; }
 
 private:
+    // Declared before everything that records into it, so it outlives them.
+    obs::Recorder own_recorder_;
+    obs::Recorder* recorder_ = &own_recorder_;
     std::uint32_t f_;
     std::uint32_t n_;
     sim::Simulator simulator_;

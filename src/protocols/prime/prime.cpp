@@ -1,6 +1,7 @@
 #include "protocols/prime/prime.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -18,17 +19,17 @@ PrimeNode::PrimeNode(PrimeConfig config, sim::Simulator& simulator, net::Fabric&
       cpu_(1),
       exec_target_(config.n, 0),
       exec_done_(config.n, 0),
-      certified_upto_(config.n, 0) {
-    recorder_ = config_.recorder;
-    if (recorder_) {
-        obs::MetricsRegistry& reg = recorder_->metrics();
-        const std::uint32_t node = raw(config_.id);
-        ctr_requests_received_ = reg.counter("prime.requests_received", node);
-        ctr_requests_executed_ = reg.counter("prime.requests_executed", node);
-        ctr_orders_sent_ = reg.counter("prime.orders_sent", node);
-        ctr_suspects_sent_ = reg.counter("prime.suspects_sent", node);
-        ctr_rotations_ = reg.counter("prime.rotations", node);
-    }
+      certified_upto_(config.n, 0),
+      recorder_(config.recorder) {
+    assert(recorder_ != nullptr && "PrimeConfig::recorder is required");
+    obs::MetricsRegistry& reg = recorder_->metrics();
+    const std::uint32_t node = raw(config_.id);
+    ctr_requests_received_ = reg.counter("prime.requests_received", node);
+    ctr_requests_executed_ = reg.counter("prime.requests_executed", node);
+    ctr_orders_sent_ = reg.counter("prime.orders_sent", node);
+    ctr_orders_received_ = reg.counter("prime.orders_received", node);
+    ctr_suspects_sent_ = reg.counter("prime.suspects_sent", node);
+    ctr_rotations_ = reg.counter("prime.rotations", node);
 }
 
 void PrimeNode::start() {
@@ -124,14 +125,11 @@ void PrimeNode::handle_request(std::shared_ptr<const bft::RequestMsg> req) {
         const RequestKey key{req->client, req->rid};
         if (seen_requests_.contains(key) || executed_.contains(key)) return;
         seen_requests_.insert(key);
-        ++stats_.requests_received;
-        if (ctr_requests_received_) {
-            ctr_requests_received_->add();
-            if (recorder_->observing()) {
-                recorder_->event({simulator_.now(), obs::EventType::kRequestReceived,
-                                  raw(config_.id), obs::kNoInstance, raw(req->client),
-                                  raw(req->rid), 0.0});
-            }
+        ctr_requests_received_->add();
+        if (recorder_->observing()) {
+            recorder_->event({simulator_.now(), obs::EventType::kRequestReceived,
+                              raw(config_.id), obs::kNoInstance, raw(req->client),
+                              raw(req->rid), 0.0});
         }
         po_buffer_.push_back(req);
     });
@@ -145,7 +143,6 @@ void PrimeNode::flush_po_buffer() {
     po->requests = std::move(po_buffer_);
     po_buffer_.clear();
     po->sig = keys_.sign(crypto::Principal::node(config_.id), BytesView{});
-    ++stats_.po_requests_sent;
 
     std::uint64_t body = 0;
     for (const auto& r : po->requests) body += r->payload.size();
@@ -256,8 +253,7 @@ void PrimeNode::send_order() {
 
     order->sig = keys_.sign(crypto::Principal::node(config_.id), BytesView{});
     cpu_.core(0).charge(simulator_, costs_.digest(order->wire_size()) + costs_.sig_sign_op);
-    ++stats_.orders_sent;
-    if (ctr_orders_sent_) ctr_orders_sent_->add();
+    ctr_orders_sent_->add();
     broadcast(order);
 
     // Apply locally.
@@ -274,7 +270,7 @@ void PrimeNode::handle_order(NodeId from, const PrimeOrderMsg& msg) {
     if (msg.coverage.size() != config_.n) return;
     last_order_seq_ = msg.order_seq;
     last_order_received_ = simulator_.now();
-    ++stats_.orders_received;
+    ctr_orders_received_->add();
     for (std::uint32_t o = 0; o < config_.n; ++o) {
         exec_target_[o] = std::max(exec_target_[o], msg.coverage[o]);
     }
@@ -309,8 +305,7 @@ void PrimeNode::execute_po(const PoRequestMsg& po) {
                 BytesView(reply.result.data(), reply.result.size()));
             network_.send(net::Address::node(config_.id), net::Address::client(req->client),
                           net::make_msg<bft::ReplyMsg>(config_.message_pool, reply));
-            ++stats_.requests_executed;
-            if (ctr_requests_executed_) ctr_requests_executed_->add();
+            ctr_requests_executed_->add();
         });
     }
 }
@@ -358,8 +353,7 @@ void PrimeNode::check_tick() {
     if (simulator_.now() - last_order_received_ <= order_bound() + slack) return;
 
     suspected_current_ = true;
-    ++stats_.suspects_sent;
-    if (ctr_suspects_sent_) ctr_suspects_sent_->add();
+    ctr_suspects_sent_->add();
     if (Logger* lg = simulator_.logger(); lg && lg->enabled(LogLevel::kDebug)) {
         char buf[128];
         std::snprintf(buf, sizeof(buf), "[%u] t=%.3f SUSPECT gap=%.1fms bound=%.1fms rtt=%.2fms",
@@ -391,13 +385,10 @@ void PrimeNode::rotate_primary() {
     suspect_votes_.erase(suspect_votes_.begin(),
                          suspect_votes_.upper_bound(rotation_round_));
     ++rotation_round_;
-    ++stats_.rotations;
-    if (ctr_rotations_) {
-        ctr_rotations_->add();
-        if (recorder_->observing()) {
-            recorder_->event({simulator_.now(), obs::EventType::kViewInstalled, raw(config_.id),
-                              obs::kNoInstance, rotation_round_, 0, 0.0});
-        }
+    ctr_rotations_->add();
+    if (recorder_->observing()) {
+        recorder_->event({simulator_.now(), obs::EventType::kViewInstalled, raw(config_.id),
+                          obs::kNoInstance, rotation_round_, 0, 0.0});
     }
     suspected_current_ = false;
     last_order_received_ = simulator_.now();  // grace for the new primary

@@ -73,24 +73,14 @@ struct PrimeConfig {
     double k_lat = 3.0;
     /// Suspicion check cadence.
     Duration check_period = milliseconds(5.0);
-    /// Observability sink (copied to every node from the cluster template;
-    /// must outlive the cluster).  Null = disabled.
+    /// Metrics registry and flight recorder; required, and must outlive the
+    /// node (ProtocolCluster supplies its own when the template has none).
     obs::Recorder* recorder = nullptr;
     /// Per-run logger threaded to sim::Simulator::set_logger() (must outlive
     /// the cluster); null = logging disabled.
     Logger* logger = nullptr;
     /// Message pool (null = plain make_shared); must outlive the node.
     net::MessagePool* message_pool = nullptr;
-};
-
-struct PrimeStats {
-    std::uint64_t requests_received = 0;
-    std::uint64_t requests_executed = 0;
-    std::uint64_t po_requests_sent = 0;
-    std::uint64_t orders_sent = 0;
-    std::uint64_t orders_received = 0;
-    std::uint64_t suspects_sent = 0;
-    std::uint64_t rotations = 0;
 };
 
 class PrimeNode {
@@ -103,7 +93,6 @@ public:
     void start();
 
     [[nodiscard]] const PrimeConfig& config() const noexcept { return config_; }
-    [[nodiscard]] const PrimeStats& stats() const noexcept { return stats_; }
     [[nodiscard]] NodeId current_primary() const noexcept {
         return NodeId{static_cast<std::uint32_t>(rotation_round_ % config_.n)};
     }
@@ -195,13 +184,12 @@ private:
     sim::PeriodicTimer check_timer_;
     Duration order_gap_override_{};
 
-    PrimeStats stats_;
-
-    // Observability handles (null when no recorder is attached).
-    obs::Recorder* recorder_ = nullptr;
+    // Registry handles, resolved once in the constructor.
+    obs::Recorder* recorder_;
     obs::Counter* ctr_requests_received_ = nullptr;
     obs::Counter* ctr_requests_executed_ = nullptr;
     obs::Counter* ctr_orders_sent_ = nullptr;
+    obs::Counter* ctr_orders_received_ = nullptr;
     obs::Counter* ctr_suspects_sent_ = nullptr;
     obs::Counter* ctr_rotations_ = nullptr;
     bool faulty_ = false;

@@ -10,9 +10,7 @@ SpinningNode::SpinningNode(SpinningConfig config, sim::Simulator& simulator,
       scfg_(config),
       stimeout_(config.stimeout) {
     engine_->set_primary_filter([this](NodeId node) { return blacklist_.contains(node); });
-    if (recorder_) {
-        ctr_timeouts_ = recorder_->metrics().counter("spinning.timeouts", raw(config_.id));
-    }
+    ctr_timeouts_ = recorder_->metrics().counter("spinning.timeouts", raw(config_.id));
 }
 
 void SpinningNode::start() {
@@ -29,8 +27,7 @@ void SpinningNode::tick() {
 
     // Stimeout expired: blacklist the current primary, double Stimeout and
     // merge to the next one.
-    ++timeouts_;
-    if (ctr_timeouts_) ctr_timeouts_->add();
+    ctr_timeouts_->add();
     const NodeId culprit = engine_->primary();
     if (culprit != config_.id && !blacklist_.contains(culprit)) {
         blacklist_.insert(culprit);
@@ -42,8 +39,7 @@ void SpinningNode::tick() {
         }
     }
     stimeout_ = stimeout_ * std::int64_t{2};
-    ++stats_.view_changes_started;
-    if (ctr_view_changes_) ctr_view_changes_->add();
+    ctr_view_changes_->add();
     engine_->start_view_change(next(engine_->view()));
 }
 

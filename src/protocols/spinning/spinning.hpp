@@ -63,7 +63,7 @@ public:
     [[nodiscard]] bool blacklisted(NodeId node) const noexcept {
         return blacklist_.contains(node);
     }
-    [[nodiscard]] std::uint64_t timeouts_fired() const noexcept { return timeouts_; }
+    [[nodiscard]] std::uint64_t timeouts_fired() const noexcept { return ctr_timeouts_->value(); }
 
 protected:
     void on_batch_executed(const bft::OrderedBatch& batch) override;
@@ -83,7 +83,6 @@ private:
     TimePoint progress_base_{};
     std::set<NodeId> blacklist_;
     std::deque<NodeId> blacklist_order_;
-    std::uint64_t timeouts_ = 0;
     obs::Counter* ctr_timeouts_ = nullptr;
 };
 

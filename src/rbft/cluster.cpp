@@ -4,16 +4,15 @@ namespace rbft::core {
 
 Cluster::Cluster(ClusterConfig config, ServiceFactory service_factory)
     : config_(config), simulator_(config.queue_kind), keys_(config.seed) {
+    if (config_.recorder) recorder_ = config_.recorder;
     if (config_.pooled_messages) pool_ = std::make_unique<net::MessagePool>();
     const auto channel =
         config_.use_udp ? net::ChannelParams::udp() : net::ChannelParams::tcp();
     network_ = std::make_unique<net::Network>(simulator_, config_.n(), Rng(config_.seed),
                                               channel, channel);
-    if (config_.recorder) {
-        simulator_.set_metrics(&config_.recorder->metrics());
-        simulator_.set_profiler(config_.recorder->profiler());
-        network_->set_recorder(config_.recorder);
-    }
+    simulator_.set_metrics(&recorder_->metrics());
+    simulator_.set_profiler(recorder_->profiler());
+    network_->set_recorder(recorder_);
     simulator_.set_logger(config_.logger);
 
     for (std::uint32_t i = 0; i < config_.n(); ++i) {
@@ -32,7 +31,7 @@ Cluster::Cluster(ClusterConfig config, ServiceFactory service_factory)
         nc.engine_test_faults = config_.engine_test_faults;
         nc.execution_policy = config_.execution_policy;
         nc.pipeline_lanes = config_.pipeline_lanes;
-        nc.recorder = config_.recorder;
+        nc.recorder = recorder_;
         nc.message_pool = pool_.get();
         nodes_.push_back(std::make_unique<Node>(nc, simulator_, *network_, keys_,
                                                 config_.costs, service_factory()));

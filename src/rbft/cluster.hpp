@@ -58,8 +58,8 @@ struct ClusterConfig {
     /// Client-facing pipeline lanes per node (see NodeConfig::pipeline_lanes;
     /// 1 = the paper's single-lane layout).
     std::uint32_t pipeline_lanes = 1;
-    /// Observability sink shared by the simulator, network and every node
-    /// (must outlive the cluster); null = observability disabled.
+    /// Metrics registry and flight recorder shared by the simulator, network
+    /// and every node (must outlive the cluster); null = the cluster's own.
     obs::Recorder* recorder = nullptr;
     /// Per-run logger threaded through sim::Simulator::set_logger() (must
     /// outlive the cluster); null = logging disabled.  There is no global
@@ -92,6 +92,8 @@ public:
     [[nodiscard]] const crypto::KeyStore& keys() const noexcept { return keys_; }
     [[nodiscard]] const crypto::CostModel& costs() const noexcept { return config_.costs; }
     [[nodiscard]] const ClusterConfig& config() const noexcept { return config_; }
+    /// ClusterConfig::recorder, or the cluster's own when none was supplied.
+    [[nodiscard]] obs::Recorder& recorder() noexcept { return *recorder_; }
 
     [[nodiscard]] Node& node(NodeId id) { return *nodes_.at(raw(id)); }
     [[nodiscard]] Node& node(std::uint32_t id) { return *nodes_.at(id); }
@@ -115,6 +117,9 @@ public:
 
 private:
     ClusterConfig config_;
+    // Declared before everything that records into it, so it outlives them.
+    obs::Recorder own_recorder_;
+    obs::Recorder* recorder_ = &own_recorder_;
     sim::Simulator simulator_;
     crypto::KeyStore keys_;
     // Destruction order is a non-issue: messages embed a shared reference to

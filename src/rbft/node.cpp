@@ -23,7 +23,9 @@ Node::Node(NodeConfig config, sim::Simulator& simulator, net::Fabric& network,
       keys_(keys),
       costs_(costs),
       service_(std::move(service)),
-      cpu_(config.cores) {
+      cpu_(config.cores),
+      recorder_(config.recorder) {
+    assert(recorder_ != nullptr && "NodeConfig::recorder is required");
     assert(config_.n <= kMaxNodes && "RequestState::propagated_by is a 64-bit NodeId mask");
     const std::uint32_t instances = config_.instance_count();
     assert(instances < 64 && "RequestState::ordered_by is a 64-bit InstanceId mask");
@@ -32,28 +34,28 @@ Node::Node(NodeConfig config, sim::Simulator& simulator, net::Fabric& network,
     lanes_ = config_.effective_lanes();
     make_engines(/*recovering=*/false);
     ordered_counters_.resize(instances);
-    monitor_series_.resize(instances);
 
-    recorder_ = config_.recorder;
-    profiler_ = recorder_ ? recorder_->profiler() : nullptr;
-    if (recorder_) {
-        obs::MetricsRegistry& reg = recorder_->metrics();
-        const std::uint32_t node = raw(config_.id);
-        ctr_requests_received_ = reg.counter("rbft.requests_received", node);
-        ctr_requests_verified_ = reg.counter("rbft.requests_verified", node);
-        ctr_requests_invalid_ = reg.counter("rbft.requests_invalid", node);
-        ctr_requests_executed_ = reg.counter("rbft.requests_executed", node);
-        ctr_propagates_received_ = reg.counter("rbft.propagates_received", node);
-        ctr_ic_voted_ = reg.counter("rbft.instance_changes_voted", node);
-        ctr_ic_done_ = reg.counter("rbft.instance_changes_done", node);
-        ctr_nic_closures_ = reg.counter("rbft.nic_closures", node);
-        ctr_mac_ops_ = reg.counter("crypto.mac_ops", node);
-        ctr_sig_verifies_ = reg.counter("crypto.sig_verifies", node);
-        ctr_crypto_ns_ = reg.counter("crypto.charged_ns", node);
-        monitor_kreq_series_.reserve(instances);
-        for (std::uint32_t i = 0; i < instances; ++i) {
-            monitor_kreq_series_.push_back(reg.series("monitor.kreq_s", node, i));
-        }
+    profiler_ = recorder_->profiler();
+    obs::MetricsRegistry& reg = recorder_->metrics();
+    const std::uint32_t node = raw(config_.id);
+    ctr_requests_received_ = reg.counter("rbft.requests_received", node);
+    ctr_requests_verified_ = reg.counter("rbft.requests_verified", node);
+    ctr_requests_invalid_mac_ = reg.counter("rbft.requests_invalid_mac", node);
+    ctr_requests_invalid_sig_ = reg.counter("rbft.requests_invalid_sig", node);
+    ctr_requests_executed_ = reg.counter("rbft.requests_executed", node);
+    ctr_replies_resent_ = reg.counter("rbft.replies_resent", node);
+    ctr_propagates_received_ = reg.counter("rbft.propagates_received", node);
+    ctr_ic_voted_ = reg.counter("rbft.instance_changes_voted", node);
+    ctr_ic_done_ = reg.counter("rbft.instance_changes_done", node);
+    ctr_nic_closures_ = reg.counter("rbft.nic_closures", node);
+    ctr_crashes_ = reg.counter("rbft.crashes", node);
+    ctr_restarts_ = reg.counter("rbft.restarts", node);
+    ctr_mac_ops_ = reg.counter("crypto.mac_ops", node);
+    ctr_sig_verifies_ = reg.counter("crypto.sig_verifies", node);
+    ctr_crypto_ns_ = reg.counter("crypto.charged_ns", node);
+    monitor_kreq_series_.reserve(instances);
+    for (std::uint32_t i = 0; i < instances; ++i) {
+        monitor_kreq_series_.push_back(reg.series("monitor.kreq_s", node, i));
     }
 }
 
@@ -104,12 +106,12 @@ void Node::start() {
 void Node::crash() {
     if (crashed_) return;
     crashed_ = true;
-    ++stats_.crashes;
+    ctr_crashes_->add();
     monitor_timer_.stop(simulator_);
     // Retire (do not destroy) the replicas: pending simulator and CPU
     // callbacks still reference them; retired replicas never act again.
     for (auto& engine : engines_) engine->retire();
-    if (recorder_ && recorder_->observing()) {
+    if (recorder_->observing()) {
         recorder_->event({simulator_.now(), obs::EventType::kNodeCrashed, raw(config_.id),
                           obs::kNoInstance, 0, 0, 0.0});
     }
@@ -152,9 +154,9 @@ void Node::restart() {
 
     recovering_ = true;
     crashed_ = false;
-    ++stats_.restarts;
+    ctr_restarts_->add();
     monitor_timer_.start(simulator_, config_.monitoring.period, [this] { monitoring_tick(); });
-    if (recorder_ && recorder_->observing()) {
+    if (recorder_->observing()) {
         recorder_->event({simulator_.now(), obs::EventType::kNodeRestarted, raw(config_.id),
                           obs::kNoInstance, 0, 0, 0.0});
     }
@@ -255,7 +257,6 @@ void Node::on_message(net::Address from, const net::MessagePtr& m) {
         }
         case net::MsgType::kFlood: {
             const auto& flood = static_cast<const net::FloodMsg&>(*m);
-            ++stats_.floods_received;
             const Duration cost =
                 costs_.recv_overhead + costs_.digest(flood.wire_size()) + costs_.mac_op;
             if (flood.target() == net::FloodMsg::Target::kPropagation) {
@@ -284,13 +285,10 @@ void Node::verification_receive(net::Address from,
                                 std::shared_ptr<const bft::RequestMsg> req) {
     if (blacklisted_clients_.contains(req->client)) return;
     const std::uint32_t lane = lane_of(req->digest);
-    if (ctr_requests_received_) {
-        ctr_requests_received_->add();
-        if (recorder_->observing()) {
-            recorder_->event({simulator_.now(), obs::EventType::kRequestReceived,
-                              raw(config_.id), obs::kNoInstance, raw(req->client),
-                              raw(req->rid), 0.0});
-        }
+    ctr_requests_received_->add();
+    if (recorder_->observing()) {
+        recorder_->event({simulator_.now(), obs::EventType::kRequestReceived, raw(config_.id),
+                          obs::kNoInstance, raw(req->client), raw(req->rid), 0.0});
     }
 
     // Retransmission of the last executed request: verify and resend the
@@ -303,7 +301,7 @@ void Node::verification_receive(net::Address from,
             if ((req->corrupt_mac_mask >> raw(config_.id)) & 1) return;
             auto again = last_reply_.find(req->client);
             if (again == last_reply_.end() || again->second.first != req->rid) return;
-            ++stats_.replies_resent;
+            ctr_replies_resent_->add();
             cpu_.core(kExecutionCore).charge(simulator_, costs_.send_overhead);
             send_reply(req->client, again->second.second);
         });
@@ -345,45 +343,37 @@ void Node::verification_receive(net::Address from,
     // MAC authenticator check: hash the body once, check our entry.
     const Duration mac_cost =
         costs_.recv_overhead + costs_.digest(req->payload.size()) + costs_.mac_op;
-    if (ctr_mac_ops_) {
-        ctr_mac_ops_->add();
-        ctr_crypto_ns_->add(static_cast<std::uint64_t>(mac_cost.ns));
-    }
+    ctr_mac_ops_->add();
+    ctr_crypto_ns_->add(static_cast<std::uint64_t>(mac_cost.ns));
     verification_core(lane).submit(simulator_, mac_cost, [this, lane, from, req] {
         RequestState& st = requests_[RequestKey{req->client, req->rid}];
         st.digest_computed = true;
         if ((req->corrupt_mac_mask >> raw(config_.id)) & 1) {
-            ++stats_.requests_invalid_mac;
-            if (ctr_requests_invalid_) ctr_requests_invalid_->add();
+            ctr_requests_invalid_mac_->add();
             st.verifying = false;
             count_invalid(from);
             return;
         }
         // Signature check (body digest already computed above).
-        if (ctr_sig_verifies_) {
-            ctr_sig_verifies_->add();
-            ctr_crypto_ns_->add(static_cast<std::uint64_t>(costs_.sig_verify_op.ns));
-            if (recorder_->observing()) {
-                recorder_->event({simulator_.now(), obs::EventType::kCryptoCharge,
-                                  raw(config_.id), obs::kNoInstance, 1, 0,
-                                  costs_.sig_verify_op.seconds()});
-            }
+        ctr_sig_verifies_->add();
+        ctr_crypto_ns_->add(static_cast<std::uint64_t>(costs_.sig_verify_op.ns));
+        if (recorder_->observing()) {
+            recorder_->event({simulator_.now(), obs::EventType::kCryptoCharge, raw(config_.id),
+                              obs::kNoInstance, 1, 0, costs_.sig_verify_op.seconds()});
         }
         verification_core(lane)
             .submit(simulator_, costs_.sig_verify_op, [this, lane, req] {
                 if (req->corrupt_sig) {
-                    ++stats_.requests_invalid_sig;
-                    if (ctr_requests_invalid_) ctr_requests_invalid_->add();
+                    ctr_requests_invalid_sig_->add();
                     blacklisted_clients_.insert(req->client);
                     return;
                 }
-                ++stats_.requests_verified;
-                if (ctr_requests_verified_) ctr_requests_verified_->add();
+                ctr_requests_verified_->add();
 
                 // Already executed?  Resend the cached reply (§IV-B step 1).
                 if (auto it = last_reply_.find(req->client);
                     it != last_reply_.end() && it->second.first == req->rid) {
-                    ++stats_.replies_resent;
+                    ctr_replies_resent_->add();
                     cpu_.core(kExecutionCore).charge(simulator_, costs_.send_overhead);
                     send_reply(req->client, it->second.second);
                     return;
@@ -436,13 +426,11 @@ void Node::propagation_self(const std::shared_ptr<const bft::RequestMsg>& req, b
 }
 
 void Node::propagation_receive(NodeId from, std::shared_ptr<const PropagateMsg> msg) {
-    ++stats_.propagates_received;
-    if (ctr_propagates_received_) ctr_propagates_received_->add();
+    ctr_propagates_received_->add();
     const Duration mac_cost = costs_.recv_overhead + costs_.mac_op;
     const std::uint32_t lane = msg->request ? lane_of(msg->request->digest) : 0;
     propagation_core(lane).submit(simulator_, mac_cost, [this, lane, from, msg] {
         if ((msg->corrupt_mac_mask >> raw(config_.id)) & 1) {
-            ++stats_.propagates_invalid;
             count_invalid(net::Address::node(from));
             return;
         }
@@ -515,7 +503,7 @@ void Node::dispatch(const RequestKey& key) {
     if (state.dispatched || !state.adopted) return;
     state.dispatched = true;
     state.dispatch_time = simulator_.now();
-    if (recorder_ && recorder_->observing()) {
+    if (recorder_->observing()) {
         recorder_->event({simulator_.now(), obs::EventType::kRequestDispatched, raw(config_.id),
                           obs::kNoInstance, raw(key.client), raw(key.rid), 0.0});
     }
@@ -641,14 +629,10 @@ void Node::execute(const bft::RequestRef& ref) {
         // it: executed_ must gain no key that has no entry (see requests_).
         if (!requests_.contains(key) || !executed_.insert(key)) return;
         release_finished(key);
-        ++stats_.requests_executed;
-        if (ctr_requests_executed_) {
-            ctr_requests_executed_->add();
-            if (recorder_->observing()) {
-                recorder_->event({simulator_.now(), obs::EventType::kRequestExecuted,
-                                  raw(config_.id), obs::kNoInstance, raw(key.client),
-                                  raw(key.rid), 0.0});
-            }
+        ctr_requests_executed_->add();
+        if (recorder_->observing()) {
+            recorder_->event({simulator_.now(), obs::EventType::kRequestExecuted, raw(config_.id),
+                              obs::kNoInstance, raw(key.client), raw(key.rid), 0.0});
         }
 
         bft::ReplyMsg reply;
@@ -684,8 +668,7 @@ void Node::monitoring_tick() {
         counts[i] = ordered_counters_[i].take();
         total += counts[i];
         const double kreq_s = static_cast<double>(counts[i]) / period_s / 1000.0;
-        monitor_series_[i].add(simulator_.now().seconds(), kreq_s);
-        if (recorder_) monitor_kreq_series_[i]->add(simulator_.now().seconds(), kreq_s);
+        monitor_kreq_series_[i]->add(simulator_.now().seconds(), kreq_s);
     }
 
     if (grace_remaining_ > 0) {
@@ -705,7 +688,7 @@ void Node::monitoring_tick() {
     if (backup_mean <= 0.0) {
         // No backup progress: either system idle (handled above) or the
         // backups are under attack; nothing to compare against.
-        if (recorder_ && recorder_->observing()) {
+        if (recorder_->observing()) {
             recorder_->event({simulator_.now(), obs::EventType::kMonitorVerdict,
                               raw(config_.id), obs::kNoInstance, total,
                               obs::kVerdictNotJudged, 0.0});
@@ -716,7 +699,7 @@ void Node::monitoring_tick() {
 
     const double ratio = master_tps / backup_mean;
     const bool below_delta = ratio < config_.monitoring.delta;
-    if (recorder_ && recorder_->observing()) {
+    if (recorder_->observing()) {
         // Monitoring verdict: the observed master/backup throughput ratio
         // judged against Δ — the heart of §IV-C, recorded every period.
         const std::uint64_t verdict =
@@ -770,12 +753,9 @@ void Node::latency_check(InstanceId, const bft::RequestRef& ref, Duration latenc
 void Node::vote_instance_change(IcReason reason) {
     if (voted_current_cpi_ || !monitoring_enabled_) return;
     voted_current_cpi_ = true;
-    ++stats_.instance_changes_voted;
-    if (ctr_ic_voted_) {
-        ctr_ic_voted_->add();
-        recorder_->event({simulator_.now(), obs::EventType::kInstanceChangeVote, raw(config_.id),
-                          obs::kNoInstance, cpi_, static_cast<std::uint64_t>(reason), 0.0});
-    }
+    ctr_ic_voted_->add();
+    recorder_->event({simulator_.now(), obs::EventType::kInstanceChangeVote, raw(config_.id),
+                      obs::kNoInstance, cpi_, static_cast<std::uint64_t>(reason), 0.0});
 
     auto ic = net::make_msg<InstanceChangeMsg>(config_.message_pool);
     ic->cpi = cpi_;
@@ -816,12 +796,9 @@ void Node::handle_instance_change(NodeId from, const InstanceChangeMsg& m) {
 }
 
 void Node::perform_instance_change() {
-    ++stats_.instance_changes_done;
-    if (ctr_ic_done_) {
-        ctr_ic_done_->add();
-        recorder_->event({simulator_.now(), obs::EventType::kInstanceChangeDone, raw(config_.id),
-                          obs::kNoInstance, cpi_ + 1, 0, 0.0});
-    }
+    ctr_ic_done_->add();
+    recorder_->event({simulator_.now(), obs::EventType::kInstanceChangeDone, raw(config_.id),
+                      obs::kNoInstance, cpi_ + 1, 0, 0.0});
     last_instance_change_ = simulator_.now();
     ic_votes_.erase(ic_votes_.begin(), ic_votes_.upper_bound(cpi_));
     ++cpi_;
@@ -848,12 +825,9 @@ void Node::count_invalid(net::Address from) {
         from.kind == net::Address::Kind::kNode) {
         network_.nic(config_.id, from)
             .close_for(simulator_.now(), config_.flood_defense.close_duration);
-        ++stats_.nic_closures;
-        if (ctr_nic_closures_) {
-            ctr_nic_closures_->add();
-            recorder_->event({simulator_.now(), obs::EventType::kNicClosed, raw(config_.id),
-                              obs::kNoInstance, from.index, 0, 0.0});
-        }
+        ctr_nic_closures_->add();
+        recorder_->event({simulator_.now(), obs::EventType::kNicClosed, raw(config_.id),
+                          obs::kNoInstance, from.index, 0, 0.0});
     }
 }
 

@@ -102,7 +102,7 @@ struct NodeConfig {
     MonitoringConfig monitoring{};
     FloodDefenseConfig flood_defense{};
 
-    /// Observability sink (metrics + flight recorder); null = disabled.
+    /// Metrics registry and flight recorder; required (every protocol event is counted there).
     obs::Recorder* recorder = nullptr;
 
     /// Message pool for every message this node (and its engines) builds;
@@ -145,23 +145,6 @@ struct NodeConfig {
         const std::uint32_t want = pipeline_lanes > 0 ? pipeline_lanes : 1;
         return want > 1 + spare ? 1 + spare : want;
     }
-};
-
-/// Per-node statistics the benches read out.
-struct NodeStats {
-    std::uint64_t requests_verified = 0;
-    std::uint64_t requests_invalid_mac = 0;
-    std::uint64_t requests_invalid_sig = 0;
-    std::uint64_t requests_executed = 0;
-    std::uint64_t replies_resent = 0;
-    std::uint64_t propagates_received = 0;
-    std::uint64_t propagates_invalid = 0;
-    std::uint64_t floods_received = 0;
-    std::uint64_t instance_changes_voted = 0;
-    std::uint64_t instance_changes_done = 0;
-    std::uint64_t nic_closures = 0;
-    std::uint64_t crashes = 0;
-    std::uint64_t restarts = 0;
 };
 
 /// Sizes of the node's per-request state (a read-out for tests and soak
@@ -220,7 +203,6 @@ public:
 
     // -- Introspection / control ---------------------------------------------
     [[nodiscard]] const NodeConfig& config() const noexcept { return config_; }
-    [[nodiscard]] const NodeStats& stats() const noexcept { return stats_; }
     [[nodiscard]] StateSizes state_sizes() const;
     [[nodiscard]] bft::InstanceEngine& engine(InstanceId i) { return *engines_.at(raw(i)); }
     [[nodiscard]] std::uint32_t instance_count() const noexcept {
@@ -230,11 +212,6 @@ public:
     /// changes; the instance itself is fixed, §IV-A).
     [[nodiscard]] static constexpr InstanceId master_instance() noexcept { return InstanceId{0}; }
 
-    /// Per-instance throughput series recorded by the monitoring module
-    /// (kreq/s samples, one per period) — Fig. 9 / Fig. 11 data.
-    [[nodiscard]] const Series& monitor_series(InstanceId i) const {
-        return monitor_series_.at(raw(i));
-    }
     /// Per-request master-instance ordering latencies per client — Fig. 12.
     [[nodiscard]] const Series& master_latency_series(ClientId c) const {
         return master_latency_series_.at(c);
@@ -416,7 +393,6 @@ private:
     // Monitoring state.
     sim::PeriodicTimer monitor_timer_;
     std::vector<WindowCounter> ordered_counters_;     // per instance (nbreqs_i)
-    std::vector<Series> monitor_series_;              // per instance
     det::map<ClientId, ClientLatencyStats> client_latency_;
     det::map<ClientId, Series> master_latency_series_;
     std::uint32_t grace_remaining_ = 0;
@@ -439,25 +415,28 @@ private:
     det::map<std::uint32_t, std::uint64_t> peer_cpi_;  // checkpoint piggybacks
     std::vector<std::pair<std::uint64_t, std::uint64_t>> commit_log_;  // (seq, fingerprint)
 
-    NodeStats stats_;
     bool faulty_ = false;
     bool monitoring_enabled_ = true;
 
-    // Observability handles (null when no recorder is attached).
-    obs::Recorder* recorder_ = nullptr;
+    // Registry handles, resolved once in the constructor (profiler_ may be null).
+    obs::Recorder* recorder_;
     obs::prof::Profiler* profiler_ = nullptr;
     obs::Counter* ctr_requests_received_ = nullptr;
     obs::Counter* ctr_requests_verified_ = nullptr;
-    obs::Counter* ctr_requests_invalid_ = nullptr;
+    obs::Counter* ctr_requests_invalid_mac_ = nullptr;
+    obs::Counter* ctr_requests_invalid_sig_ = nullptr;
     obs::Counter* ctr_requests_executed_ = nullptr;
+    obs::Counter* ctr_replies_resent_ = nullptr;
     obs::Counter* ctr_propagates_received_ = nullptr;
     obs::Counter* ctr_ic_voted_ = nullptr;
     obs::Counter* ctr_ic_done_ = nullptr;
     obs::Counter* ctr_nic_closures_ = nullptr;
+    obs::Counter* ctr_crashes_ = nullptr;
+    obs::Counter* ctr_restarts_ = nullptr;
     obs::Counter* ctr_mac_ops_ = nullptr;
     obs::Counter* ctr_sig_verifies_ = nullptr;
     obs::Counter* ctr_crypto_ns_ = nullptr;
-    std::vector<Series*> monitor_kreq_series_;  // registry series, per instance
+    std::vector<Series*> monitor_kreq_series_;  // "monitor.kreq_s", per instance (§IV-C)
 };
 
 }  // namespace rbft::core

@@ -41,8 +41,10 @@ RealNode::RealNode(ClusterSpec spec, NodeId id, std::string commitlog_path)
       fabric_(simulator_, transport_, spec_, id),
       executor_(clock_, simulator_, transport_),
       commitlog_path_(std::move(commitlog_path)) {
-    node_ = std::make_unique<core::Node>(node_config_from_spec(spec_, id_), simulator_, fabric_,
-                                         keys_, costs_, std::make_unique<core::NullService>());
+    core::NodeConfig nc = node_config_from_spec(spec_, id_);
+    nc.recorder = &recorder_;
+    node_ = std::make_unique<core::Node>(nc, simulator_, fabric_, keys_, costs_,
+                                         std::make_unique<core::NullService>());
     fabric_.register_node(id_, [this](net::Address from, const net::MessagePtr& m) {
         node_->on_message(from, m);
     });

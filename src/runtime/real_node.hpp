@@ -7,6 +7,7 @@
 //   TcpTransport (framed TCP, reconnect/backoff) -> SocketFabric
 //   KeyStore(spec.seed)  — every process derives identical key material,
 //   standing in for provisioning
+//   obs::Recorder (the node's counters)
 //   core::Node(NodeConfig from spec)
 //
 // The node appends its master-instance commit log to `commitlog_path` as
@@ -22,6 +23,7 @@
 
 #include "crypto/cost_model.hpp"
 #include "crypto/keystore.hpp"
+#include "obs/recorder.hpp"
 #include "rbft/node.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/config.hpp"
@@ -72,6 +74,7 @@ private:
     crypto::CostModel costs_;
     TcpTransport transport_;
     SocketFabric fabric_;
+    obs::Recorder recorder_;
     std::unique_ptr<core::Node> node_;
     WallClockExecutor executor_;
     std::string commitlog_path_;

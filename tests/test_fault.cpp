@@ -117,7 +117,7 @@ TEST(FaultInjector, AppliesScheduledEventsToCluster) {
 
     cluster.simulator().run_for(milliseconds(200.0));
     EXPECT_FALSE(cluster.node(3).crashed());
-    EXPECT_EQ(cluster.node(3).stats().restarts, 1u);
+    EXPECT_EQ(cluster.recorder().metrics().counter_value("rbft.restarts", 3), 1u);
     EXPECT_EQ(injector.applied(), plan.events().size());
 }
 

@@ -93,8 +93,9 @@ TEST(Monitoring, DisabledMonitorStillFollowsQuorum) {
     load.start();
     cluster.simulator().run_for(seconds(3.0));
 
-    EXPECT_EQ(cluster.node(2).stats().instance_changes_voted, 0u);
-    EXPECT_GE(cluster.node(2).stats().instance_changes_done, 1u);
+    const obs::MetricsRegistry& metrics = cluster.recorder().metrics();
+    EXPECT_EQ(metrics.counter_value("rbft.instance_changes_voted", 2), 0u);
+    EXPECT_GE(metrics.counter_value("rbft.instance_changes_done", 2), 1u);
     EXPECT_EQ(cluster.node(2).cpi(), cluster.node(1).cpi());
 }
 

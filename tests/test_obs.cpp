@@ -4,8 +4,10 @@
 // / instance-change events emitted under attack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "exp/runners.hpp"
 #include "obs/metrics.hpp"
@@ -271,8 +273,26 @@ TEST(Export, InstrumentedRunCoversAllLayers) {
     scenario.seed = 11;
     scenario.warmup = seconds(0.5);
     scenario.measure = seconds(1.0);
+    scenario.recorder = std::make_shared<Recorder>();
+    scenario.recorder->enable_profiling();
     const exp::ScenarioOutput out = exp::run_rbft(scenario);
     const MetricsRegistry& reg = out.recorder->metrics();
+    // The keys perfbench reads by name: counter_sum() of a misspelled or
+    // unregistered name is a silent 0, so each must exist (some are
+    // legitimately 0 in a fault-free run).
+    const auto has_key = [](const auto& counters, std::string_view name) {
+        return std::any_of(counters.begin(), counters.end(),
+                           [name](const auto& entry) { return entry.first.name == name; });
+    };
+    for (const char* name :
+         {"rbft.instance_changes_done", "rbft.requests_received", "rbft.requests_verified",
+          "bft.view_changes", "net.messages_sent", "net.bytes_sent", "net.messages_lost",
+          "net.dropped_closed_nic", "net.dropped_fault"}) {
+        EXPECT_TRUE(has_key(reg.counters(), name)) << name;
+    }
+    for (const char* name : {"wire.allocs", "wire.bytes_copied"}) {
+        EXPECT_TRUE(has_key(out.recorder->profiler()->counters(), name)) << name;
+    }
     EXPECT_GT(reg.counter_value("sim.events_dispatched"), 0u);
     EXPECT_GT(reg.counter_value("net.messages_sent"), 0u);
     EXPECT_GT(reg.counter_sum("bft.requests_ordered"), 0u);

@@ -83,7 +83,7 @@ TEST(Aardvark, SignatureVerificationEnabled) {
     evil.send_one();
     cluster.simulator().run_for(seconds(1.0));
     EXPECT_EQ(evil.completed(), 0u);
-    EXPECT_GE(cluster.node(0).stats().requests_invalid, 1u);
+    EXPECT_GE(cluster.recorder().metrics().counter_value("baseline.requests_invalid", 0), 1u);
 }
 
 TEST(Aardvark, ShedsUnderOverload) {
@@ -95,7 +95,7 @@ TEST(Aardvark, ShedsUnderOverload) {
                        LoadSpec::constant(60000.0, seconds(1.0), 1), Rng(3));  // 2x capacity
     load.start();
     cluster.simulator().run_for(seconds(1.5));
-    EXPECT_GT(cluster.node(0).stats().requests_shed, 0u);
+    EXPECT_GT(cluster.recorder().metrics().counter_value("baseline.requests_shed", 0), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -250,7 +250,8 @@ TEST(Prime, OrdersEvenWhenClientsHitOneReplica) {
     EXPECT_EQ(client.completed(), 10u);
     // Every replica executed all requests (PO dissemination worked).
     for (std::uint32_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(cluster.node(i).stats().requests_executed, 10u) << i;
+        EXPECT_EQ(cluster.recorder().metrics().counter_value("prime.requests_executed", i), 10u)
+            << i;
     }
 }
 
@@ -264,7 +265,7 @@ TEST(Prime, SilentPrimaryGetsRotated) {
                           4, 1, rr);
     for (int i = 0; i < 10; ++i) client.send_one();
     cluster.simulator().run_for(seconds(3.0));
-    EXPECT_GE(cluster.node(1).stats().rotations, 1u);
+    EXPECT_GE(cluster.recorder().metrics().counter_value("prime.rotations", 1), 1u);
     EXPECT_NE(cluster.node(1).current_primary(), NodeId{0});
     EXPECT_EQ(client.completed(), 10u);
 }
@@ -301,8 +302,9 @@ TEST(Prime, HonestPrimarySendsPeriodicOrders) {
     cluster.start();
     cluster.simulator().run_for(seconds(1.0));
     // Even with zero load, (possibly empty) ORDER messages flow (§III-A).
-    EXPECT_GE(cluster.node(0).stats().orders_sent, 50u);  // 1s / 15ms ≈ 66
-    EXPECT_GE(cluster.node(1).stats().orders_received, 50u);
+    const obs::MetricsRegistry& metrics = cluster.recorder().metrics();
+    EXPECT_GE(metrics.counter_value("prime.orders_sent", 0), 50u);  // 1s / 15ms ≈ 66
+    EXPECT_GE(metrics.counter_value("prime.orders_received", 1), 50u);
 }
 
 }  // namespace

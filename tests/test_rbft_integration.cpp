@@ -20,6 +20,11 @@ ClusterConfig small_config(std::uint32_t f = 1) {
     return cfg;
 }
 
+/// Node `node`'s count of `name` in the cluster's metrics registry.
+std::uint64_t count(Cluster& cluster, std::string_view name, std::uint32_t node) {
+    return cluster.recorder().metrics().counter_value(name, node);
+}
+
 TEST(RbftIntegration, SingleRequestCompletes) {
     Cluster cluster(small_config());
     cluster.start();
@@ -51,7 +56,7 @@ TEST(RbftIntegration, AllNodesExecuteEveryRequest) {
     for (int i = 0; i < 50; ++i) client.send_one();
     cluster.simulator().run_for(seconds(2.0));
     for (std::uint32_t i = 0; i < cluster.node_count(); ++i) {
-        EXPECT_EQ(cluster.node(i).stats().requests_executed, 50u) << "node " << i;
+        EXPECT_EQ(count(cluster, "rbft.requests_executed", i), 50u) << "node " << i;
     }
 }
 
@@ -110,7 +115,7 @@ TEST(RbftIntegration, NoInstanceChangeWhenFaultFree) {
     load.start();
     cluster.simulator().run_for(seconds(3.0));
     for (std::uint32_t i = 0; i < cluster.node_count(); ++i) {
-        EXPECT_EQ(cluster.node(i).stats().instance_changes_done, 0u) << "node " << i;
+        EXPECT_EQ(count(cluster, "rbft.instance_changes_done", i), 0u) << "node " << i;
         EXPECT_EQ(cluster.node(i).cpi(), 0u) << "node " << i;
     }
 }
@@ -131,8 +136,8 @@ TEST(RbftIntegration, DuplicateRequestGetsReplyResent) {
     cluster.simulator().run_for(seconds(1.0));
     std::uint64_t resent = 0;
     for (std::uint32_t i = 0; i < cluster.node_count(); ++i) {
-        resent += cluster.node(i).stats().replies_resent;
-        EXPECT_EQ(cluster.node(i).stats().requests_executed, 1u) << "node " << i;
+        resent += count(cluster, "rbft.replies_resent", i);
+        EXPECT_EQ(count(cluster, "rbft.requests_executed", i), 1u) << "node " << i;
     }
     EXPECT_GE(resent, cluster.config().f + 1);
     EXPECT_EQ(replayer.completed(), 1u);
@@ -166,7 +171,7 @@ TEST(RbftIntegration, CorruptSignatureBlacklistsClient) {
     cluster.simulator().run_for(seconds(1.0));
     EXPECT_EQ(evil.completed(), 0u);
     for (std::uint32_t i = 0; i < cluster.node_count(); ++i) {
-        EXPECT_GE(cluster.node(i).stats().requests_invalid_sig, 1u);
+        EXPECT_GE(count(cluster, "rbft.requests_invalid_sig", i), 1u);
     }
 }
 

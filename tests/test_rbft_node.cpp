@@ -22,6 +22,11 @@ ClusterConfig quick_config() {
     return cfg;
 }
 
+/// Node `node`'s count of `name` in the cluster's metrics registry.
+std::uint64_t count(Cluster& cluster, std::string_view name, std::uint32_t node) {
+    return cluster.recorder().metrics().counter_value(name, node);
+}
+
 // ---------------------------------------------------------------------------
 // Propagation and clearance (§IV-B step 2).
 
@@ -54,7 +59,7 @@ TEST(RbftNode, RequestUnverifiableAtOneNodeStillOrdered) {
     client.send_one();
     cluster.simulator().run_for(seconds(1.0));
     EXPECT_EQ(client.completed(), 1u);
-    EXPECT_GE(cluster.node(0).stats().requests_invalid_mac, 1u);
+    EXPECT_GE(count(cluster, "rbft.requests_invalid_mac", 0), 1u);
     EXPECT_EQ(cluster.node(0).engine(InstanceId{0}).total_ordered(), 1u);
 }
 
@@ -66,7 +71,7 @@ TEST(RbftNode, PropagatesCountedTowardClearance) {
     client.send_one();
     cluster.simulator().run_for(seconds(1.0));
     for (std::uint32_t i = 0; i < 4; ++i) {
-        EXPECT_GE(cluster.node(i).stats().propagates_received, 3u) << i;
+        EXPECT_GE(count(cluster, "rbft.propagates_received", i), 3u) << i;
     }
 }
 
@@ -164,7 +169,7 @@ TEST(RbftNode, NoInstanceChangeOnIdleSystem) {
     cluster.simulator().run_for(seconds(3.0));  // monitoring ticks, no load
     for (std::uint32_t i = 0; i < 4; ++i) {
         EXPECT_EQ(cluster.node(i).cpi(), 0u);
-        EXPECT_EQ(cluster.node(i).stats().instance_changes_voted, 0u);
+        EXPECT_EQ(count(cluster, "rbft.instance_changes_voted", i), 0u);
     }
 }
 
@@ -194,10 +199,13 @@ TEST(RbftNode, MonitorSeriesRecordsBothInstances) {
                        LoadSpec::constant(5000.0, seconds(1.0), 1), Rng(5));
     load.start();
     cluster.simulator().run_for(seconds(1.5));
-    const Series& master = cluster.node(0).monitor_series(InstanceId{0});
-    const Series& backup = cluster.node(0).monitor_series(InstanceId{1});
-    EXPECT_GE(master.size(), 10u);
-    EXPECT_NEAR(master.mean_y(), backup.mean_y(), 0.5);  // kreq/s, near-equal
+    const obs::MetricsRegistry& metrics = cluster.recorder().metrics();
+    const Series* master = metrics.find_series("monitor.kreq_s", 0, 0);
+    const Series* backup = metrics.find_series("monitor.kreq_s", 0, 1);
+    ASSERT_NE(master, nullptr);
+    ASSERT_NE(backup, nullptr);
+    EXPECT_GE(master->size(), 10u);
+    EXPECT_NEAR(master->mean_y(), backup->mean_y(), 0.5);  // kreq/s, near-equal
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +223,7 @@ TEST(RbftNode, FloodClosesSourceNic) {
                                flood);
     }
     cluster.simulator().run_for(milliseconds(500.0));
-    EXPECT_GE(cluster.node(0).stats().nic_closures, 1u);
+    EXPECT_GE(count(cluster, "rbft.nic_closures", 0), 1u);
     EXPECT_TRUE(cluster.network()
                     .nic(NodeId{0}, net::Address::node(NodeId{3}))
                     .closed(cluster.simulator().now()));
@@ -232,7 +240,7 @@ TEST(RbftNode, FloodBelowThresholdKeepsNicOpen) {
                                flood);
     }
     cluster.simulator().run_for(milliseconds(500.0));
-    EXPECT_EQ(cluster.node(0).stats().nic_closures, 0u);
+    EXPECT_EQ(count(cluster, "rbft.nic_closures", 0), 0u);
 }
 
 TEST(RbftNode, FloodDefenseDoesNotAffectOtherPeers) {
@@ -266,8 +274,8 @@ TEST(RbftNode, FaultyNodeDropsEverything) {
     client.send_one();
     cluster.simulator().run_for(seconds(1.0));
     EXPECT_EQ(client.completed(), 1u);  // 3 correct nodes suffice (f=1)
-    EXPECT_EQ(cluster.node(3).stats().requests_verified, 0u);
-    EXPECT_EQ(cluster.node(3).stats().requests_executed, 0u);
+    EXPECT_EQ(count(cluster, "rbft.requests_verified", 3), 0u);
+    EXPECT_EQ(count(cluster, "rbft.requests_executed", 3), 0u);
 }
 
 TEST(RbftNode, ExtraInstancesOverride) {
@@ -307,7 +315,7 @@ TEST(RbftNode, ExecutionDeduplicatesAcrossDuplicateOrders) {
     for (int i = 0; i < 10; ++i) client.send_one();
     cluster.simulator().run_for(seconds(1.0));
     for (std::uint32_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(cluster.node(i).stats().requests_executed, 10u);
+        EXPECT_EQ(count(cluster, "rbft.requests_executed", i), 10u);
     }
 }
 
@@ -331,7 +339,11 @@ TEST(RbftNode, RetiredRequestAnswersLateMessagesFromTheExecutedSet) {
     }
     ASSERT_EQ(client.completed(), 3u);
     ASSERT_EQ(node.state_sizes().requests, 0u);
-    const NodeStats before = node.stats();
+    const auto count_now = [&cluster](std::string_view name) { return count(cluster, name, 1); };
+    const std::uint64_t verified = count_now("rbft.requests_verified");
+    const std::uint64_t executed = count_now("rbft.requests_executed");
+    const std::uint64_t resent = count_now("rbft.replies_resent");
+    const std::uint64_t propagates = count_now("rbft.propagates_received");
 
     // rid 1: executed, but not the request whose reply is cached.
     auto req = std::make_shared<bft::RequestMsg>();
@@ -347,10 +359,10 @@ TEST(RbftNode, RetiredRequestAnswersLateMessagesFromTheExecutedSet) {
     cluster.simulator().run_for(milliseconds(50.0));
 
     EXPECT_EQ(node.state_sizes().requests, 0u);
-    EXPECT_EQ(node.stats().requests_verified, before.requests_verified);
-    EXPECT_EQ(node.stats().requests_executed, before.requests_executed);
-    EXPECT_EQ(node.stats().replies_resent, before.replies_resent);
-    EXPECT_EQ(node.stats().propagates_received, before.propagates_received + 1);
+    EXPECT_EQ(count_now("rbft.requests_verified"), verified);
+    EXPECT_EQ(count_now("rbft.requests_executed"), executed);
+    EXPECT_EQ(count_now("rbft.replies_resent"), resent);
+    EXPECT_EQ(count_now("rbft.propagates_received"), propagates + 1);
     bft::RequestRef ref;
     ref.client = req->client;
     ref.rid = req->rid;

@@ -106,7 +106,8 @@ TEST(Loss, RetransmissionMasksUdpLoss) {
     EXPECT_EQ(client.completed(), 20u);
     // Executed exactly once per request at every node despite duplicates.
     for (std::uint32_t i = 0; i < cfg.n(); ++i) {
-        EXPECT_EQ(cluster.node(i).stats().requests_executed, 20u) << i;
+        EXPECT_EQ(cluster.recorder().metrics().counter_value("rbft.requests_executed", i), 20u)
+            << i;
     }
 }
 
@@ -193,7 +194,7 @@ TEST(StateTransfer, RestartedNodeRejoinsWithConsistentCommitLog) {
 
     EXPECT_EQ(client.completed(), client.sent());
     EXPECT_FALSE(cluster.node(3).crashed());
-    EXPECT_EQ(cluster.node(3).stats().restarts, 1u);
+    EXPECT_EQ(cluster.recorder().metrics().counter_value("rbft.restarts", 3), 1u);
 
     // Rejoined: the stable-checkpoint frontier tracks the quorum again.
     const auto stable3 = raw(cluster.node(3).engine(InstanceId{0}).last_stable());

@@ -191,7 +191,7 @@ TEST(ViewChange, CrashedMasterPrimaryRecoversAndRejoins) {
     EXPECT_EQ(client.completed(), client.sent());
     EXPECT_GE(cluster.node(1).cpi(), 1u);
     EXPECT_FALSE(cluster.node(0).crashed());
-    EXPECT_EQ(cluster.node(0).stats().restarts, 1u);
+    EXPECT_EQ(cluster.recorder().metrics().counter_value("rbft.restarts", 0), 1u);
     // The recovered node converged on the quorum's configuration...
     EXPECT_EQ(cluster.node(0).cpi(), cluster.node(1).cpi());
     // ...and its master-instance frontier tracks the quorum via state

@@ -30,8 +30,8 @@ double run_rbft(bool attack1, bool attack2, double rate, size_t payload) {
     cluster.simulator().run_for(seconds(3.5));
     auto r = exp::measure_window(clients, TimePoint{1'000'000'000}, TimePoint{3'000'000'000});
     // report instance changes
-    unsigned ic = 0;
-    for (unsigned i = 0; i < 4; ++i) ic += cluster.node(i).stats().instance_changes_done;
+    const auto ic = static_cast<unsigned>(
+        cluster.recorder().metrics().counter_sum("rbft.instance_changes_done"));
     printf("  attack1=%d attack2=%d rate=%.0f payload=%zu -> %.3f kreq/s mean=%.2fms ic_total=%u\n",
            attack1, attack2, rate, payload, r.kreq_s, r.mean_latency_ms, ic);
     return r.kreq_s;
