@@ -129,7 +129,6 @@ ScheduleResult run_schedule(const ExploreScenario& scenario, std::uint64_t seed,
     core::ClusterConfig cfg;
     cfg.f = scenario.f;
     cfg.seed = seed;  // also re-seeds per-link jitter ("jitter resampling")
-    cfg.queue_kind = scenario.queue_kind;
     cfg.pooled_messages = scenario.pooled_messages;
     cfg.checkpoint_interval = scenario.checkpoint_interval;
     cfg.engine_retry_interval = scenario.engine_retry_interval;

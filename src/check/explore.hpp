@@ -22,7 +22,6 @@
 #include "bft/execution.hpp"
 #include "check/oracles.hpp"
 #include "common/time.hpp"
-#include "sim/eventqueue.hpp"
 
 namespace rbft::check {
 
@@ -56,9 +55,8 @@ struct Perturbation {
 
 struct ExploreScenario {
     std::uint32_t f = 1;
-    /// Simulator/allocator knobs (see core::ClusterConfig); the equivalence
-    /// rig flips these and asserts identical schedule results.
-    sim::QueueKind queue_kind = sim::QueueKind::kWheel;
+    /// Allocator knob (see core::ClusterConfig); the equivalence rig flips
+    /// it and asserts identical schedule results.
     bool pooled_messages = true;
     Duration duration = seconds(2.0);
     std::uint32_t clients = 4;

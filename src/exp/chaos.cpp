@@ -15,7 +15,6 @@ ChaosSoakOutput run_one(const ChaosSoakScenario& scenario, const fault::FaultPla
     core::ClusterConfig cfg;
     cfg.f = scenario.f;
     cfg.seed = scenario.seed;
-    cfg.queue_kind = scenario.queue_kind;
     cfg.pooled_messages = scenario.pooled_messages;
     cfg.checkpoint_interval = scenario.checkpoint_interval;
     cfg.engine_retry_interval = scenario.engine_retry_interval;

@@ -22,16 +22,14 @@
 #include "exp/harness.hpp"
 #include "fault/plan.hpp"
 #include "obs/recorder.hpp"
-#include "sim/eventqueue.hpp"
 
 namespace rbft::exp {
 
 struct ChaosSoakScenario {
     std::uint32_t f = 1;
     std::uint64_t seed = 42;
-    /// Simulator/allocator knobs (see core::ClusterConfig); the equivalence
-    /// rig flips these and asserts byte-identical soak outcomes.
-    sim::QueueKind queue_kind = sim::QueueKind::kWheel;
+    /// Allocator knob (see core::ClusterConfig); the equivalence rig flips
+    /// it and asserts byte-identical soak outcomes.
     bool pooled_messages = true;
     Duration duration = seconds(8.0);
     /// Final fault-free stretch the generated plan leaves for recovery

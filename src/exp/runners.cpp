@@ -128,7 +128,6 @@ ScenarioOutput run_rbft(const RbftScenario& scenario) {
     cfg.f = scenario.f;
     cfg.seed = scenario.seed;
     cfg.use_udp = scenario.use_udp;
-    cfg.queue_kind = scenario.runtime.queue_kind;
     cfg.pooled_messages = scenario.runtime.pooled_messages;
     cfg.order_full_requests = scenario.order_full_requests;
     cfg.monitoring.delta = scenario.delta;
@@ -304,8 +303,7 @@ ScenarioOutput run_baseline(const BaselineScenario& scenario) {
             protocols::AardvarkCluster cluster(
                 1, scenario.seed, cfg, protocols::default_channel_aardvark(), {},
                 [] { return std::make_unique<core::NullService>(); },
-                protocols::ClusterRuntimeOptions{scenario.runtime.queue_kind,
-                                                 scenario.runtime.pooled_messages});
+                protocols::ClusterRuntimeOptions{scenario.runtime.pooled_messages});
             std::unique_ptr<attacks::AardvarkAttack> attack;
             if (scenario.attack) {
                 // Static load: the malicious node takes the primary role
@@ -329,8 +327,7 @@ ScenarioOutput run_baseline(const BaselineScenario& scenario) {
             protocols::SpinningCluster cluster(
                 1, scenario.seed, cfg, protocols::default_channel_spinning(), {},
                 [] { return std::make_unique<core::NullService>(); },
-                protocols::ClusterRuntimeOptions{scenario.runtime.queue_kind,
-                                                 scenario.runtime.pooled_messages});
+                protocols::ClusterRuntimeOptions{scenario.runtime.pooled_messages});
             std::unique_ptr<attacks::SpinningAttack> attack;
             if (scenario.attack) {
                 attack = std::make_unique<attacks::SpinningAttack>(cluster, NodeId{3});
@@ -348,8 +345,7 @@ ScenarioOutput run_baseline(const BaselineScenario& scenario) {
             protocols::PrimeCluster cluster(
                 1, scenario.seed, cfg, protocols::default_channel_prime(), {},
                 [] { return std::make_unique<core::NullService>(); },
-                protocols::ClusterRuntimeOptions{scenario.runtime.queue_kind,
-                                                 scenario.runtime.pooled_messages});
+                protocols::ClusterRuntimeOptions{scenario.runtime.pooled_messages});
             std::unique_ptr<attacks::PrimeAttack> attack;
             if (scenario.attack) {
                 // The initial primary (rotation round 0) is the malicious one.

@@ -57,11 +57,10 @@ struct ScenarioOutput {
     std::shared_ptr<obs::Recorder> recorder;
 };
 
-/// Simulator/allocator knobs every scenario carries (defaults = production
-/// hot path).  The equivalence rig flips these one at a time and asserts
-/// byte-identical metrics/trace/profile exports.
+/// Allocator knob every scenario carries (default = production hot path).
+/// The equivalence rig flips it and asserts byte-identical
+/// metrics/trace/profile exports.
 struct RuntimeKnobs {
-    sim::QueueKind queue_kind = sim::QueueKind::kWheel;
     bool pooled_messages = true;
 };
 

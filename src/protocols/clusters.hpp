@@ -19,11 +19,10 @@
 
 namespace rbft::protocols {
 
-/// Simulator/allocator knobs shared by every protocol cluster, mirroring
-/// the equivalent fields of core::ClusterConfig (the equivalence rig flips
-/// them and asserts byte-identical runs).
+/// Allocator knob shared by every protocol cluster, mirroring the
+/// equivalent field of core::ClusterConfig (the equivalence rig flips it
+/// and asserts byte-identical runs).
 struct ClusterRuntimeOptions {
-    sim::QueueKind queue_kind = sim::QueueKind::kWheel;
     bool pooled_messages = true;
 };
 
@@ -40,8 +39,7 @@ public:
                     ServiceFactory service_factory =
                         [] { return std::make_unique<core::NullService>(); },
                     ClusterRuntimeOptions runtime = {})
-        : f_(f), n_(cluster_size(f)), simulator_(runtime.queue_kind), keys_(seed),
-          costs_(costs) {
+        : f_(f), n_(cluster_size(f)), keys_(seed), costs_(costs) {
         if (runtime.pooled_messages) pool_ = std::make_unique<net::MessagePool>();
         network_ = std::make_unique<net::Network>(simulator_, n_, Rng(seed), channel, channel);
         // The template's recorder (directly for Prime, nested in the shared

@@ -3,7 +3,7 @@
 namespace rbft::core {
 
 Cluster::Cluster(ClusterConfig config, ServiceFactory service_factory)
-    : config_(config), simulator_(config.queue_kind), keys_(config.seed) {
+    : config_(config), keys_(config.seed) {
     if (config_.recorder) recorder_ = config_.recorder;
     if (config_.pooled_messages) pool_ = std::make_unique<net::MessagePool>();
     const auto channel =

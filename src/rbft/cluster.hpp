@@ -25,11 +25,6 @@ struct ClusterConfig {
     /// Channel model between nodes and to clients (Fig. 7 compares both).
     bool use_udp = false;
 
-    /// Event-queue implementation backing the simulator.  kWheel (default)
-    /// is the timing-wheel hot path; kHeap is the reference binary heap the
-    /// equivalence rig diffs against.  Both orders are identical by
-    /// construction (tests/test_eventqueue.cpp).
-    sim::QueueKind queue_kind = sim::QueueKind::kWheel;
     /// Recycle message allocations through a cluster-owned free-list pool
     /// (src/net/pool.hpp).  Off = plain make_shared; observable behavior is
     /// byte-identical either way (the equivalence rig asserts it).

@@ -11,8 +11,8 @@ EventId Simulator::schedule_at(TimePoint t, Action action) {
     if (scheduled_counter_) scheduled_counter_->add();
     if (prof_scheduled_) prof_scheduled_->add();
     if (t < now_) t = now_;
-    const std::uint64_t id = queue_->schedule(t, next_seq_++, std::move(action));
-    if (const std::size_t live = queue_->live(); live > queue_high_water_) {
+    const std::uint64_t id = queue_.schedule(t, next_seq_++, std::move(action));
+    if (const std::size_t live = queue_.live(); live > queue_high_water_) {
         queue_high_water_ = live;
         if (queue_depth_gauge_) queue_depth_gauge_->set(static_cast<double>(queue_high_water_));
     }
@@ -68,7 +68,7 @@ std::uint64_t Simulator::run_until(TimePoint limit) {
     std::uint64_t dispatched = 0;
     TimePoint at{};
     Action action;
-    while (queue_->pop_due(limit, at, action)) {
+    while (queue_.pop_due(limit, at, action)) {
         dispatch(at, action);
         ++dispatched;
     }
@@ -81,7 +81,7 @@ std::uint64_t Simulator::run_all() {
     std::uint64_t dispatched = 0;
     TimePoint at{};
     Action action;
-    while (queue_->pop_due(kForever, at, action)) {
+    while (queue_.pop_due(kForever, at, action)) {
         dispatch(at, action);
         ++dispatched;
     }

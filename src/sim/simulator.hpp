@@ -7,14 +7,11 @@
 // (the 8 cores of the paper's Xeons) is modeled by sim::CpuCore, not by OS
 // threads.
 //
-// The pending-event store is pluggable (sim::QueueKind): a hierarchical
-// timing wheel by default, or the original binary heap kept as the
-// reference implementation for the differential equivalence rig.  Both
-// have identical observable semantics (see eventqueue.hpp).
+// Pending events live in one sim::EventQueue, a binary heap held by value
+// (see eventqueue.hpp for its ordering and cancellation invariants).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -43,9 +40,6 @@ public:
     /// 16-byte buffer spilled nearly every capture to the heap).
     using Action = sim::Action;
 
-    explicit Simulator(QueueKind queue_kind = QueueKind::kWheel)
-        : queue_(make_event_queue(queue_kind)) {}
-
     /// Current simulated time.
     [[nodiscard]] TimePoint now() const noexcept { return now_; }
 
@@ -60,7 +54,7 @@ public:
 
     /// Cancels a pending event.  Cancelling an already-fired or unknown
     /// event is a no-op (protocol code often races timers against replies).
-    void cancel(EventId id) { (void)queue_->cancel(static_cast<std::uint64_t>(id)); }
+    void cancel(EventId id) { (void)queue_.cancel(static_cast<std::uint64_t>(id)); }
 
     /// Runs events until the queue drains or `limit` is reached; the clock
     /// ends at min(limit, last event time).  Returns the number of events
@@ -75,15 +69,14 @@ public:
     std::uint64_t run_all();
 
     /// Number of live pending events (scheduled, not yet fired, not
-    /// cancelled).  Identical across queue implementations — cancellation
-    /// is accounted eagerly, never lazily.
-    [[nodiscard]] std::size_t pending() const noexcept { return queue_->live(); }
+    /// cancelled).  Cancellation is accounted eagerly, never lazily.
+    [[nodiscard]] std::size_t pending() const noexcept { return queue_.live(); }
 
     /// Due time of the earliest live event, or nullopt when the queue holds
     /// nothing runnable.  This is the seam the wall-clock runtime
     /// (src/runtime) uses to turn the deterministic event queue into real
     /// poll() deadlines.
-    [[nodiscard]] std::optional<TimePoint> next_event_time() { return queue_->next_event_time(); }
+    [[nodiscard]] std::optional<TimePoint> next_event_time() { return queue_.next_event_time(); }
 
     /// Total events dispatched over the simulator's lifetime.
     [[nodiscard]] std::uint64_t dispatched_total() const noexcept { return dispatched_total_; }
@@ -130,7 +123,7 @@ private:
     const std::string* dispatch_path_ = nullptr;
     std::uint64_t next_seq_ = 0;
     std::size_t queue_high_water_ = 0;
-    std::unique_ptr<EventQueue> queue_;
+    EventQueue queue_;
 };
 
 }  // namespace rbft::sim

@@ -1,19 +1,17 @@
-// Differential equivalence rig for the simulator hot-path optimizations.
+// Differential equivalence rig for the simulator's message pool.
 //
-// The timing-wheel event queue (sim/eventqueue.hpp) and the free-list
-// message pool (net/pool.hpp) are pure performance substitutions: flipping
-// either knob must not change a single observable byte of any run.  This
-// rig proves it differentially — every scenario family behind the paper's
-// figures, all three baseline protocols, the chaos soak, and a batch of
-// check::explore schedules run three times each:
+// The free-list message pool (net/pool.hpp) is a pure performance
+// substitution: flipping it off must not change a single observable byte
+// of any run.  This rig proves it differentially — every scenario family
+// behind the paper's figures, all three baseline protocols, the chaos
+// soak, and a batch of check::explore schedules run two ways each:
 //
-//   hot    — timing wheel + pooled messages (production defaults)
-//   heapq  — binary-heap event queue, pooled messages
-//   noPool — timing wheel, plain make_shared messages
+//   hot    — pooled messages (production default)
+//   noPool — plain make_shared messages
 //
 // and the rig asserts byte-identical metrics/trace/deterministic-profile
-// JSON exports across all three.  A trace diff of even one event ordering
-// or one metric counter fails loudly with the scenario label.
+// JSON exports across both.  A trace diff of even one event ordering or
+// one metric counter fails loudly with the scenario label.
 //
 // The short smoke (suffix `Smoke`) runs in tier-1 on every CI build; the
 // full figure sweep carries the tier-2 label (nightly, with the explore
@@ -64,16 +62,12 @@ void expect_same(const Export& a, const Export& b, const char* label, const char
     EXPECT_EQ(a.profile, b.profile) << label << ": profile diverged under " << flip;
 }
 
-/// Runs `scenario` in all three configurations and asserts byte identity.
+/// Runs `scenario` pooled and unpooled and asserts byte identity.
 template <typename Scenario, typename Runner>
 void expect_equivalent(Scenario scenario, Runner&& runner, const char* label) {
-    scenario.runtime = RuntimeKnobs{sim::QueueKind::kWheel, true};
+    scenario.runtime = RuntimeKnobs{true};
     const Export hot = run_export(scenario, runner);
     ASSERT_FALSE(hot.trace.empty()) << label << ": empty trace, rig is vacuous";
-
-    Scenario heapq = scenario;
-    heapq.runtime.queue_kind = sim::QueueKind::kHeap;
-    expect_same(hot, run_export(heapq, runner), label, "heap event queue");
 
     Scenario no_pool = scenario;
     no_pool.runtime.pooled_messages = false;
@@ -108,7 +102,7 @@ auto baseline_runner() {
 }
 
 // ---------------------------------------------------------------------------
-// Tier-1 smoke: one RBFT and one baseline scenario, all three variants.
+// Tier-1 smoke: one RBFT and one baseline scenario, both variants.
 
 TEST(EquivalenceSmoke, RbftFaultFree) {
     expect_equivalent(short_rbft(), rbft_runner(), "rbft tcp fault-free");
@@ -120,7 +114,7 @@ TEST(EquivalenceSmoke, AardvarkFaultFree) {
 }
 
 // The execution-policy backends are behavioral changes, not pure perf knobs,
-// but each backend must itself be deterministic: queue/pool flips stay
+// but each backend must itself be deterministic: the pool flip stays
 // byte-identical within a backend.
 
 TEST(EquivalenceSmoke, RbftMergedBackend) {
@@ -222,16 +216,15 @@ TEST(EquivalenceFigures, Fig1PrimeAttack) {
 
 // ---------------------------------------------------------------------------
 // Chaos soak: crash/partition/heal churn with client retransmission is the
-// adversarial case for both optimizations (cancelled timers, messages
-// released out of order, bursty fan-out).
+// adversarial case for the pool (messages released out of order, bursty
+// fan-out under cancelled timers).
 
-TEST(EquivalenceChaos, SoakIsByteIdenticalAcrossQueueAndPool) {
-    auto run = [](sim::QueueKind queue, bool pooled) {
+TEST(EquivalenceChaos, SoakIsByteIdenticalPooledAndUnpooled) {
+    auto run = [](bool pooled) {
         ChaosSoakScenario s;
         s.seed = 20260810;
         s.duration = seconds(4.0);
         s.quiet_tail = seconds(1.5);
-        s.queue_kind = queue;
         s.pooled_messages = pooled;
         auto recorder = std::make_shared<obs::Recorder>();
         recorder->enable_trace();
@@ -243,11 +236,10 @@ TEST(EquivalenceChaos, SoakIsByteIdenticalAcrossQueueAndPool) {
         return std::tuple{out.safety_ok, out.completed, out.compared_seqs,
                           out.faults_applied, metrics.str(), trace.str()};
     };
-    const auto hot = run(sim::QueueKind::kWheel, true);
+    const auto hot = run(true);
     ASSERT_TRUE(std::get<0>(hot));
     ASSERT_GT(std::get<1>(hot), 0u);
-    EXPECT_EQ(hot, run(sim::QueueKind::kHeap, true)) << "wheel vs heap under chaos";
-    EXPECT_EQ(hot, run(sim::QueueKind::kWheel, false)) << "pooled vs heap messages under chaos";
+    EXPECT_EQ(hot, run(false)) << "pooled vs heap messages under chaos";
 }
 
 // ---------------------------------------------------------------------------
@@ -257,10 +249,9 @@ TEST(EquivalenceChaos, SoakIsByteIdenticalAcrossQueueAndPool) {
 // binary).  The whole ExploreOutcome must match: oracle check counts,
 // event totals, completions, and the absence of violations.
 
-TEST(EquivalenceExplore, TwentySeedsMatchAcrossQueueAndPool) {
-    auto run = [](sim::QueueKind queue, bool pooled) {
+TEST(EquivalenceExplore, TwentySeedsMatchPooledAndUnpooled) {
+    auto run = [](bool pooled) {
         check::ExploreScenario s;
-        s.queue_kind = queue;
         s.pooled_messages = pooled;
         s.duration = seconds(1.0);
         const check::ExploreOutcome out = check::explore(s, /*first_seed=*/7001,
@@ -268,13 +259,11 @@ TEST(EquivalenceExplore, TwentySeedsMatchAcrossQueueAndPool) {
         return std::tuple{out.seeds_run, out.seeds_violating, out.checks, out.events,
                           out.completed};
     };
-    const auto hot = run(sim::QueueKind::kWheel, true);
+    const auto hot = run(true);
     EXPECT_EQ(std::get<0>(hot), 20u);
     EXPECT_EQ(std::get<1>(hot), 0u);
     EXPECT_GT(std::get<3>(hot), 0u);
-    EXPECT_EQ(hot, run(sim::QueueKind::kHeap, true)) << "wheel vs heap across explore seeds";
-    EXPECT_EQ(hot, run(sim::QueueKind::kWheel, false))
-        << "pooled vs heap messages across explore seeds";
+    EXPECT_EQ(hot, run(false)) << "pooled vs heap messages across explore seeds";
 }
 
 }  // namespace
