@@ -4,6 +4,7 @@
 // simulated link latency, independent of the node layer.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -47,7 +48,9 @@ public:
     void engine_send(InstanceId, NodeId dest, net::MessagePtr m) override {
         // The sender is implicit: engines include replica ids in messages;
         // we deliver with a fixed latency and reconstruct `from` per type.
-        sim.schedule_after(microseconds(100.0), [this, dest, m] {
+        Duration latency = microseconds(100.0);
+        if (intercept_) intercept_(dest, m, latency);
+        sim.schedule_after(latency, [this, dest, m] {
             engines_.at(raw(dest))->on_message(from_of(*m), m);
         });
     }
@@ -78,6 +81,9 @@ public:
     std::vector<OrderedBatch> deliveries_;
     std::vector<ViewId> installed_views_;
     bool cleared_ = true;
+    /// Optional in-flight tamper hook: may replace the message or stretch
+    /// the latency of any engine-to-engine send.
+    std::function<void(NodeId dest, net::MessagePtr& m, Duration& latency)> intercept_;
 
     sim::Simulator sim;
 
@@ -470,6 +476,46 @@ TEST(EngineBehavior, CorruptPrePrepareMacIgnoredByTarget) {
     EXPECT_EQ(h.engine(0).total_ordered(), 1u);
     EXPECT_EQ(h.engine(2).total_ordered(), 1u);
     EXPECT_EQ(h.engine(1).total_ordered(), 0u);
+}
+
+TEST(EngineBehavior, VotesForAnEquivocatedVariantAreNotCounted) {
+    // The primary equivocates on seq 1: nodes 2 and 3 receive a variant
+    // batch, node 1 the original, and node 1's PRE-PREPARE is late.  The
+    // variant's PREPAREs and COMMITs reach node 1 before its PRE-PREPARE
+    // does.  They back another digest, so they must not count toward the
+    // original's quorums: node 1 holds only its own PREPARE, and nobody can
+    // order seq 1.
+    EngineConfig cfg;
+    cfg.test_faults.equivocate_mask = 0b1100;
+    EngineHarness h(cfg);
+    h.intercept_ = [](NodeId dest, net::MessagePtr& m, Duration& latency) {
+        if (dest == NodeId{1} && m->type() == net::MsgType::kPrePrepare) {
+            latency = latency + milliseconds(5.0);
+        }
+    };
+    h.submit_all(ref_for(1));
+    h.sim.run_for(milliseconds(200.0));
+    EXPECT_EQ(h.engine(1).total_ordered(), 0u);
+    EXPECT_TRUE(h.deliveries_.empty());
+}
+
+TEST(EngineBehavior, VotesForAnotherViewAreNotCounted) {
+    // Every PREPARE and COMMIT addressed to node 1 is rewritten to claim
+    // view 1 while the PRE-PREPARE is in view 0.  The digests still match,
+    // but a vote counts only for the view it carries: node 1 never reaches
+    // a quorum, while the other three order the request among themselves.
+    EngineHarness h;
+    h.intercept_ = [](NodeId dest, net::MessagePtr& m, Duration&) {
+        if (dest != NodeId{1}) return;
+        if (m->type() != net::MsgType::kPrepare && m->type() != net::MsgType::kCommit) return;
+        auto moved = std::make_shared<PhaseMsg>(static_cast<const PhaseMsg&>(*m));
+        moved->view = ViewId{1};
+        m = moved;
+    };
+    h.submit_all(ref_for(1));
+    h.sim.run_for(milliseconds(200.0));
+    EXPECT_EQ(h.engine(1).total_ordered(), 0u);
+    for (const std::uint32_t i : {0u, 2u, 3u}) EXPECT_EQ(h.engine(i).total_ordered(), 1u) << i;
 }
 
 TEST(EngineBehavior, FloodChargedAndDiscarded) {
