@@ -291,6 +291,20 @@ TEST(Explore, PlantedEquivocationCaughtShrunkAndReplayable) {
     EXPECT_TRUE(reproduces(parsed));
 }
 
+TEST(Explore, EquivocationWithProtocolQuorumsKeepsAgreement) {
+    // An equivocating primary is inside the fault model: with the
+    // protocol's own quorums at most one variant of a batch can commit.
+    // Among seeds 1-40 are schedules (seed 18 is one) where a variant's
+    // PREPAREs and COMMITs reach a replica before its own PRE-PREPARE;
+    // counting those votes toward the other batch broke agreement.
+    ExploreScenario scenario;
+    scenario.test_faults.equivocate_mask = 0b1100;
+    const ExploreOutcome outcome = explore(scenario, /*first_seed=*/1, /*num_seeds=*/40);
+    EXPECT_EQ(outcome.seeds_run, 40u);
+    EXPECT_EQ(outcome.seeds_violating, 0u);
+    EXPECT_FALSE(outcome.artifact.has_value());
+}
+
 TEST(Explore, ShrinkKeepsViolationWithNonEmptySchedule) {
     // Start from a sampled (non-empty) perturbation set and shrink against
     // the planted violation: every intermediate candidate and the final
