@@ -531,6 +531,7 @@ void InstanceEngine::try_deliver() {
 
         next_deliver_ = next(next_deliver_);
         if (config_.rotating_primary) view_ = next(view_);
+        if (raw(deferred_stable_) > 0) deferred_progress_at_ = simulator_.now();
         host_.engine_ordered(batch);
         maybe_checkpoint();
     }
@@ -667,24 +668,74 @@ void InstanceEngine::advance_stable(SeqNum seq) {
     if (it == checkpoint_votes_.end()) return;
     if (it->second.size() < commit_quorum(config_.f)) return;
     if (raw(seq) <= raw(last_stable_)) return;
+    if (raw(next_deliver_) <= raw(seq)) {
+        // We fell behind the quorum's stable state.  A replica that holds
+        // the PRE-PREPARE of every slot up to it delivers those slots itself
+        // and adopts the checkpoint when it gets there (maybe_checkpoint);
+        // anything else state-transfers (DESIGN.md §5, item 12).
+        if (raw(seq) <= raw(deferred_stable_)) return;
+        if (raw(deferred_stable_) == 0 && !recovering_ && !in_view_change_ &&
+            holds_preprepares_through(seq)) {
+            deferred_stable_ = seq;
+            deferred_progress_at_ = simulator_.now();
+            return;
+        }
+        transfer_state(seq);
+        return;
+    }
+    adopt_stable(seq);
+    maybe_send_batch();
+}
+
+void InstanceEngine::adopt_stable(SeqNum seq) {
     if (recorder_->observing()) {
+        const auto it = checkpoint_votes_.find(raw(seq));
         recorder_->event({simulator_.now(), obs::EventType::kCheckpointStable,
                           raw(config_.node), raw(config_.instance), raw(seq),
-                          it->second.size(), 0.0});
+                          it == checkpoint_votes_.end() ? 0 : it->second.size(), 0.0});
     }
     last_stable_ = seq;
+    if (raw(deferred_stable_) <= raw(seq)) deferred_stable_ = SeqNum{0};
     slots_.erase(slots_.begin(), slots_.upper_bound(raw(seq)));
     checkpoint_votes_.erase(checkpoint_votes_.begin(),
                             checkpoint_votes_.upper_bound(raw(seq)));
-    if (raw(next_deliver_) <= raw(seq)) {
-        // We fell behind the quorum's stable state: state transfer (PBFT):
-        // adopt the checkpoint and resume delivery after it.
-        next_deliver_ = SeqNum{raw(seq) + 1};
-        if (raw(next_seq_) < raw(next_deliver_)) next_seq_ = next_deliver_;
-        recovering_ = false;  // rejoined: quorum state adopted
-        try_deliver();
+}
+
+void InstanceEngine::transfer_state(SeqNum seq) {
+    // State transfer (PBFT): adopt the checkpoint and resume delivery after
+    // it.  The slots in between are never delivered here.
+    const SeqNum from = next_deliver_;
+    std::uint64_t buffered = 0;
+    for (const PrePrepareMsg& pp : buffered_pps_) {
+        if (raw(pp.seq) >= raw(from) && raw(pp.seq) <= raw(seq)) ++buffered;
     }
+    adopt_stable(seq);
+    // Resolved here, not in the constructor: a run without a state transfer
+    // exports no such counter, and its metrics stay as they were.
+    recorder_->metrics()
+        .counter("bft.state_transfers", raw(config_.node), raw(config_.instance))
+        ->add();
+    recorder_->event({simulator_.now(), obs::EventType::kStateTransfer, raw(config_.node),
+                      raw(config_.instance), raw(from), raw(seq),
+                      static_cast<double>(buffered)});
+    next_deliver_ = SeqNum{raw(seq) + 1};
+    if (raw(next_seq_) < raw(next_deliver_)) next_seq_ = next_deliver_;
+    recovering_ = false;  // rejoined: quorum state adopted
+    try_deliver();
     maybe_send_batch();
+}
+
+bool InstanceEngine::holds_preprepares_through(SeqNum seq) const {
+    std::vector<std::uint64_t> buffered;
+    buffered.reserve(buffered_pps_.size());
+    for (const PrePrepareMsg& pp : buffered_pps_) buffered.push_back(raw(pp.seq));
+    std::sort(buffered.begin(), buffered.end());
+    for (std::uint64_t s = raw(next_deliver_); s <= raw(seq); ++s) {
+        const auto it = slots_.find(s);
+        if (it != slots_.end() && it->second.pre_prepare.has_value()) continue;
+        if (!std::binary_search(buffered.begin(), buffered.end(), s)) return false;
+    }
+    return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -707,6 +758,13 @@ void InstanceEngine::broadcast_phase_copy(const Slot& s, SeqNum seq, PhaseMsg::P
 
 void InstanceEngine::retry_stalled() {
     if (silent_replica_ || behavior_.silent || in_view_change_) return;
+
+    // A deferred checkpoint whose slots delivered nothing for a whole retry
+    // period (votes lost to a fault): stop waiting and state-transfer.
+    if (raw(deferred_stable_) > 0 &&
+        (simulator_.now() - deferred_progress_at_).ns >= config_.retry_interval.ns) {
+        transfer_state(deferred_stable_);
+    }
 
     // Re-offer our latest stable checkpoint.  The original broadcasts
     // predate a recovering replica's restart, and a stalled cluster takes no
@@ -913,6 +971,9 @@ void InstanceEngine::reoffer(const Slot& s) {
 }
 
 void InstanceEngine::install_view(ViewId v, const std::vector<PreparedProof>& reproposals) {
+    // The NEW-VIEW re-proposes nothing at or below the quorum's stable
+    // checkpoint: a deferred one can no longer be reached by delivery.
+    if (raw(deferred_stable_) > 0) transfer_state(deferred_stable_);
     view_ = v;
     in_view_change_ = false;
     recovering_ = false;  // any installed view means we are synced again

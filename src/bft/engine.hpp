@@ -307,6 +307,13 @@ private:
     /// Builds, signs and broadcasts this replica's CHECKPOINT for `seq`.
     void broadcast_checkpoint(SeqNum seq);
     void advance_stable(SeqNum seq);
+    /// Makes `seq` the stable checkpoint and garbage-collects below it.
+    void adopt_stable(SeqNum seq);
+    /// Adopts the stable checkpoint `seq` and skips delivery to it.
+    void transfer_state(SeqNum seq);
+    /// True when an accepted or buffered PRE-PREPARE covers every slot from
+    /// next_deliver_ through `seq`.
+    [[nodiscard]] bool holds_preprepares_through(SeqNum seq) const;
 
     // View change internals.
     void broadcast_view_change();
@@ -365,6 +372,10 @@ private:
     // Checkpoints: per seq, set of voters.
     std::map<std::uint64_t, std::set<NodeId>> checkpoint_votes_;
     SeqNum last_checkpoint_sent_{SeqNum{0}};
+    // A stable checkpoint this replica has not reached but will deliver to
+    // itself (0 = none), and when its delivery last made progress.
+    SeqNum deferred_stable_{SeqNum{0}};
+    TimePoint deferred_progress_at_{};
 
     // View change state: votes keyed by (target view, sender node).
     bool in_view_change_ = false;

@@ -193,6 +193,7 @@ ScheduleResult run_schedule(const ExploreScenario& scenario, std::uint64_t seed,
     result.checks = oracles.checks();
     result.events = oracles.events_seen();
     for (const auto& c : clients) result.completed += c->completed();
+    result.state_transfers = recorder.metrics().counter_sum("bft.state_transfers");
 
     // The cluster outlives the run loop but not the recorder/oracles scope:
     // detach the listener so teardown cannot call into a dying suite.
@@ -265,6 +266,7 @@ ExploreOutcome explore(const ExploreScenario& scenario, std::uint64_t first_seed
         for (std::size_t o = 0; o < kOracleCount; ++o) out.checks[o] += result.checks[o];
         out.events += result.events;
         out.completed += result.completed;
+        out.state_transfers += result.state_transfers;
         if (result.violations.empty()) continue;
         ++out.seeds_violating;
         if (out.artifact.has_value()) continue;

@@ -82,6 +82,8 @@ struct ScheduleResult {
     std::array<std::uint64_t, kOracleCount> checks{};
     std::uint64_t events = 0;
     std::uint64_t completed = 0;
+    /// Sum of bft.state_transfers over every node and instance.
+    std::uint64_t state_transfers = 0;
 };
 
 /// Deterministically samples a perturbation set for (scenario, seed):
@@ -120,6 +122,7 @@ struct ExploreOutcome {
     std::array<std::uint64_t, kOracleCount> checks{};
     std::uint64_t events = 0;
     std::uint64_t completed = 0;
+    std::uint64_t state_transfers = 0;
     /// Shrunk artifact for the first violation found (if any).
     std::optional<ViolationArtifact> artifact;
     std::uint64_t shrink_runs = 0;

@@ -32,6 +32,7 @@ enum class EventType : std::uint8_t {
     kBatchFingerprint,    // a = seq, b = FNV-1a over the batch's (client, rid) pairs, x = view
     kBatchSpeculated,     // a = seq, b = batch fingerprint, x = view (speculative mode)
     kCheckpointStable,    // a = stable seq, b = checkpoint votes held
+    kStateTransfer,       // a = first skipped seq, b = adopted checkpoint, x = buffered PPs skipped
     // View / protocol-instance management.
     kViewChangeStart,      // a = target view
     kViewInstalled,        // a = installed view
@@ -85,6 +86,7 @@ enum : std::uint64_t {
         case EventType::kBatchFingerprint: return "batch_fingerprint";
         case EventType::kBatchSpeculated: return "batch_speculated";
         case EventType::kCheckpointStable: return "checkpoint_stable";
+        case EventType::kStateTransfer: return "state_transfer";
         case EventType::kViewChangeStart: return "view_change_start";
         case EventType::kViewInstalled: return "view_installed";
         case EventType::kInstanceChangeVote: return "instance_change_vote";

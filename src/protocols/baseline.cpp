@@ -43,6 +43,15 @@ BaselineNode::BaselineNode(BaselineConfig config, sim::Simulator& simulator,
     ctr_view_changes_ = reg.counter("baseline.view_changes_started", node);
 }
 
+core::StateSizes BaselineNode::state_sizes() const {
+    core::StateSizes sizes;
+    sizes.requests = known_requests_.size();
+    sizes.retained_bodies = known_requests_.size();
+    sizes.executed_tail = executed_.tail_size();
+    sizes.ordered_tail.push_back(engine_->ordered_tail());
+    return sizes;
+}
+
 void BaselineNode::on_message(net::Address from, const net::MessagePtr& m) {
     if (faulty_) return;
     obs::prof::Scope zone(profiler_, "baseline.on_message", raw(config_.id));
@@ -129,6 +138,7 @@ void BaselineNode::execute_request(const bft::RequestRef& ref) {
     cpu_.core(0).submit(simulator_, cost, [this, req] {
         const RequestKey key{req->client, req->rid};
         if (!executed_.insert(key)) return;
+        known_requests_.erase(key);  // executed_ answers for it from here on
         ctr_requests_executed_->add();
 
         bft::ReplyMsg reply;

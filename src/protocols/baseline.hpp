@@ -28,6 +28,7 @@
 #include "net/fabric.hpp"
 #include "net/pool.hpp"
 #include "obs/recorder.hpp"
+#include "rbft/node.hpp"
 #include "rbft/service.hpp"
 #include "sim/cpu.hpp"
 #include "sim/timer.hpp"
@@ -83,6 +84,9 @@ public:
 
     [[nodiscard]] bft::InstanceEngine& engine() noexcept { return *engine_; }
     [[nodiscard]] const BaselineConfig& config() const noexcept { return config_; }
+    /// Per-request state sizes, in the shape core::Node reports them: every
+    /// known request holds its body until it executes.
+    [[nodiscard]] core::StateSizes state_sizes() const;
     [[nodiscard]] sim::CpuCore& core() noexcept { return cpu_.core(0); }
     [[nodiscard]] std::uint64_t take_ordered_window() noexcept { return ordered_window_.take(); }
     [[nodiscard]] std::uint64_t take_offered_window() noexcept { return offered_window_.take(); }
@@ -113,6 +117,8 @@ protected:
     sim::NodeCpu cpu_;  // single core: everything serializes through core 0
     std::unique_ptr<bft::InstanceEngine> engine_;
 
+    // Verified bodies of requests not yet executed; execution erases the
+    // entry and executed_ answers for the request from then on.
     det::map<RequestKey, std::shared_ptr<const bft::RequestMsg>> known_requests_;
     RequestKeySet executed_;
     det::map<ClientId, std::pair<RequestId, bft::ReplyMsg>> last_reply_;

@@ -138,7 +138,6 @@ void Node::restart() {
     last_reply_.clear();
     blacklisted_clients_.clear();
     client_latency_.clear();
-    master_latency_series_.clear();
     invalid_counts_.clear();
     ic_votes_.clear();
     peer_cpi_.clear();
@@ -579,8 +578,6 @@ void Node::engine_ordered(const bft::OrderedBatch& batch) {
             stats.sum[idx] += latency.seconds();
             stats.count[idx] += 1;
             if (batch.instance == master_instance()) {
-                master_latency_series_[ref.client].add(
-                    static_cast<double>(stats.count[idx]), latency.millis());
                 // Backlog re-ordered right after an instance change carries
                 // stale dispatch times; only judge the new primary on
                 // requests dispatched under its reign.

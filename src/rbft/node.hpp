@@ -212,10 +212,6 @@ public:
     /// changes; the instance itself is fixed, §IV-A).
     [[nodiscard]] static constexpr InstanceId master_instance() noexcept { return InstanceId{0}; }
 
-    /// Per-request master-instance ordering latencies per client — Fig. 12.
-    [[nodiscard]] const Series& master_latency_series(ClientId c) const {
-        return master_latency_series_.at(c);
-    }
     [[nodiscard]] std::uint64_t cpi() const noexcept { return cpi_; }
 
     /// The active ordering→execution policy (master-only unless a factory
@@ -394,7 +390,6 @@ private:
     sim::PeriodicTimer monitor_timer_;
     std::vector<WindowCounter> ordered_counters_;     // per instance (nbreqs_i)
     det::map<ClientId, ClientLatencyStats> client_latency_;
-    det::map<ClientId, Series> master_latency_series_;
     std::uint32_t grace_remaining_ = 0;
     std::uint32_t bad_window_streak_ = 0;
     bool suspicious_ = false;

@@ -269,10 +269,11 @@ void TcpTransport::poll(Duration max_wait) {
         if (peer.conn == 0 && now >= peer.next_dial) dial(key, peer);
     }
 
-    // Build the pollfd set.
-    std::vector<pollfd> fds;
-    std::vector<ConnId> ids;
-    fds.reserve(conns_.size() + 1);
+    // Build the pollfd set in the member vectors, reusing their capacity.
+    std::vector<pollfd>& fds = poll_fds_;
+    std::vector<ConnId>& ids = poll_ids_;
+    fds.clear();
+    ids.clear();
     if (listen_fd_ >= 0) {
         fds.push_back({listen_fd_, POLLIN, 0});
         ids.push_back(0);

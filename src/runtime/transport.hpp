@@ -30,11 +30,14 @@
 // schedule deterministically with a FakeClock and poll(Duration{0}).
 #pragma once
 
+#include <poll.h>
+
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/backoff.hpp"
 #include "common/bytes.hpp"
@@ -161,6 +164,10 @@ private:
     FrameHandler on_frame_;
     ClosedHandler on_closed_;
     TransportStats stats_;
+    // poll()'s descriptor set and the ConnId of each entry, rebuilt on
+    // every call into the same storage.
+    std::vector<pollfd> poll_fds_;
+    std::vector<ConnId> poll_ids_;
 };
 
 }  // namespace rbft::runtime

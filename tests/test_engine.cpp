@@ -4,6 +4,7 @@
 // simulated link latency, independent of the node layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -74,6 +75,9 @@ public:
 
     InstanceEngine& engine(std::uint32_t i) { return *engines_[i]; }
     std::uint32_t n() const { return static_cast<std::uint32_t>(engines_.size()); }
+    std::uint64_t state_transfers(std::uint32_t node) const {
+        return recorder_.metrics().counter_value("bft.state_transfers", node, 0);
+    }
 
     /// Requests delivered per node (deliveries_ interleaves nodes; for a
     /// single instance each node delivers every batch exactly once, so the
@@ -254,6 +258,102 @@ TEST(Engine, CheckpointsAdvanceStableAndGcSlots) {
     for (std::uint64_t i = 1; i <= 35; ++i) h.submit_all(ref_for(i));
     h.sim.run_for(seconds(2.0));
     EXPECT_GE(raw(h.engine(0).last_stable()), 30u);
+}
+
+// ---------------------------------------------------------------------------
+// Falling behind a stable checkpoint: deliver the slots held, or transfer.
+
+// Delays every message of `type` addressed to node 3 by `extra`.
+std::function<void(NodeId, net::MessagePtr&, Duration&)> slow_to_node3(
+    std::vector<net::MsgType> types, Duration extra) {
+    return [types = std::move(types), extra](NodeId dest, net::MessagePtr& m, Duration& latency) {
+        if (dest != NodeId{3}) return;
+        if (std::find(types.begin(), types.end(), m->type()) == types.end()) return;
+        latency = latency + extra;
+    };
+}
+
+TEST(EngineCheckpoint, StragglerHoldingPrePreparesDeliversItsOwnSlots) {
+    // Node 3's votes arrive 5 ms late, its PRE-PREPAREs and CHECKPOINTs on
+    // time: checkpoint 4 becomes stable there before it delivered.  Holding
+    // every PRE-PREPARE, it waits, delivers the 4 slots itself and adopts
+    // the checkpoint on reaching it.
+    EngineConfig cfg;
+    cfg.batch_max = 1;
+    cfg.checkpoint_interval = 4;
+    EngineHarness h(cfg);
+    h.intercept_ = slow_to_node3({net::MsgType::kPrepare, net::MsgType::kCommit},
+                                 milliseconds(5.0));
+    for (std::uint64_t i = 1; i <= 4; ++i) h.submit_all(ref_for(i));
+    h.sim.run_for(milliseconds(3.0));
+    ASSERT_EQ(raw(h.engine(0).last_stable()), 4u);
+    EXPECT_EQ(raw(h.engine(3).last_stable()), 0u);  // deferred, not adopted
+    h.sim.run_for(milliseconds(50.0));
+    EXPECT_EQ(h.engine(3).total_ordered(), 4u);
+    EXPECT_EQ(raw(h.engine(3).last_stable()), 4u);
+    for (std::uint64_t i = 5; i <= 8; ++i) h.submit_all(ref_for(i));
+    h.sim.run_for(milliseconds(50.0));
+    EXPECT_EQ(h.engine(3).total_ordered(), 8u);
+    EXPECT_EQ(raw(h.engine(3).last_stable()), 8u);
+    EXPECT_EQ(h.state_transfers(3), 0u);
+}
+
+TEST(EngineCheckpoint, MissingPrePrepareTransfersAtOnce) {
+    // Node 3 never sees the PRE-PREPAREs in time: it cannot finish the
+    // slots, so it adopts checkpoint 4 as soon as it is stable.
+    EngineConfig cfg;
+    cfg.batch_max = 1;
+    cfg.checkpoint_interval = 4;
+    EngineHarness h(cfg);
+    h.intercept_ = slow_to_node3({net::MsgType::kPrePrepare}, seconds(10.0));
+    for (std::uint64_t i = 1; i <= 4; ++i) h.submit_all(ref_for(i));
+    h.sim.run_for(milliseconds(50.0));
+    EXPECT_EQ(h.state_transfers(3), 1u);
+    EXPECT_EQ(raw(h.engine(3).last_stable()), 4u);
+    EXPECT_EQ(raw(h.engine(3).next_to_deliver()), 5u);
+    EXPECT_EQ(h.engine(3).total_ordered(), 0u);
+}
+
+TEST(EngineCheckpoint, DeferralEndsWhenTheNextCheckpointStabilizes) {
+    // Node 3 holds the PRE-PREPAREs but its votes never arrive and no stall
+    // retry is configured: it waits at checkpoint 4 until checkpoint 8 is
+    // stable, then state-transfers to 8.
+    EngineConfig cfg;
+    cfg.batch_max = 1;
+    cfg.checkpoint_interval = 4;
+    EngineHarness h(cfg);
+    h.intercept_ = slow_to_node3({net::MsgType::kPrepare, net::MsgType::kCommit},
+                                 seconds(10.0));
+    for (std::uint64_t i = 1; i <= 4; ++i) h.submit_all(ref_for(i));
+    h.sim.run_for(milliseconds(50.0));
+    ASSERT_EQ(raw(h.engine(0).last_stable()), 4u);
+    EXPECT_EQ(raw(h.engine(3).last_stable()), 0u);
+    EXPECT_EQ(h.state_transfers(3), 0u);
+    for (std::uint64_t i = 5; i <= 8; ++i) h.submit_all(ref_for(i));
+    h.sim.run_for(milliseconds(50.0));
+    EXPECT_EQ(h.state_transfers(3), 1u);
+    EXPECT_EQ(raw(h.engine(3).last_stable()), 8u);
+    EXPECT_EQ(raw(h.engine(3).next_to_deliver()), 9u);
+}
+
+TEST(EngineCheckpoint, DeferralEndsAfterARetryPeriodWithoutDelivery) {
+    // As above, with a 20 ms stall retry: one retry period without a
+    // delivery ends the wait, with no further checkpoint needed.
+    EngineConfig cfg;
+    cfg.batch_max = 1;
+    cfg.checkpoint_interval = 4;
+    cfg.retry_interval = milliseconds(20.0);
+    EngineHarness h(cfg);
+    h.intercept_ = slow_to_node3({net::MsgType::kPrepare, net::MsgType::kCommit},
+                                 seconds(10.0));
+    for (std::uint64_t i = 1; i <= 4; ++i) h.submit_all(ref_for(i));
+    h.sim.run_for(milliseconds(10.0));
+    ASSERT_EQ(raw(h.engine(0).last_stable()), 4u);
+    EXPECT_EQ(h.state_transfers(3), 0u);
+    h.sim.run_for(milliseconds(100.0));
+    EXPECT_EQ(h.state_transfers(3), 1u);
+    EXPECT_EQ(raw(h.engine(3).last_stable()), 4u);
+    EXPECT_EQ(raw(h.engine(3).next_to_deliver()), 5u);
 }
 
 TEST(Engine, WatermarkBoundsInFlightProposals) {

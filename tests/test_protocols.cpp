@@ -111,6 +111,29 @@ TEST(Spinning, CompletesRequests) {
     EXPECT_EQ(client.completed(), 50u);
 }
 
+TEST(Spinning, ExecutedRequestsKeepNoBody) {
+    // A baseline node keeps a request's body only until it executes; from
+    // then on its executed key set answers for the request.
+    SpinningCluster cluster(1, 3, {}, default_channel_spinning());
+    cluster.start();
+    ClientEndpoint client(ClientId{0}, cluster.simulator(), cluster.network(), cluster.keys(),
+                          4, 1);
+    LoadGenerator load(cluster.simulator(), {&client}, LoadSpec::constant(2000.0, seconds(0.5), 1),
+                       Rng(3));
+    load.start();
+    cluster.simulator().run_for(seconds(1.5));
+    ASSERT_GT(client.sent(), 500u);
+    ASSERT_EQ(client.completed(), client.sent());
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        const core::StateSizes sizes = cluster.node(i).state_sizes();
+        EXPECT_EQ(sizes.requests, 0u) << "node " << i;
+        EXPECT_EQ(sizes.retained_bodies, 0u) << "node " << i;
+        EXPECT_EQ(sizes.executed_tail, 0u) << "node " << i;
+        ASSERT_EQ(sizes.ordered_tail.size(), 1u);
+        EXPECT_EQ(sizes.ordered_tail[0], 0u) << "node " << i;
+    }
+}
+
 TEST(Spinning, PrimaryRotatesWithEveryBatch) {
     SpinningCluster cluster(1, 3, {}, default_channel_spinning());
     cluster.start();

@@ -161,6 +161,7 @@ TEST(StateTransfer, IsolatedNodeCatchesUpPastCheckpoint) {
     EXPECT_EQ(client.completed(), client.sent());
     // After the NICs reopen, node 3's engines rejoin via checkpoint state
     // transfer: their stable checkpoint advances with the quorum again.
+    EXPECT_GT(cluster.recorder().metrics().counter_value("bft.state_transfers", 3, 0), 0u);
     const auto stable3 = raw(cluster.node(3).engine(InstanceId{0}).last_stable());
     const auto stable0 = raw(cluster.node(0).engine(InstanceId{0}).last_stable());
     EXPECT_GT(stable3, 0u);
@@ -197,6 +198,7 @@ TEST(StateTransfer, RestartedNodeRejoinsWithConsistentCommitLog) {
     EXPECT_EQ(cluster.recorder().metrics().counter_value("rbft.restarts", 3), 1u);
 
     // Rejoined: the stable-checkpoint frontier tracks the quorum again.
+    EXPECT_GT(cluster.recorder().metrics().counter_value("bft.state_transfers", 3, 0), 0u);
     const auto stable3 = raw(cluster.node(3).engine(InstanceId{0}).last_stable());
     const auto stable0 = raw(cluster.node(0).engine(InstanceId{0}).last_stable());
     EXPECT_GT(stable3, 0u);
@@ -214,6 +216,48 @@ TEST(StateTransfer, RestartedNodeRejoinsWithConsistentCommitLog) {
         EXPECT_EQ(it->second, fp) << "divergent commit at seq " << seq;
     }
     EXPECT_GT(overlap, 0u);
+}
+
+TEST(StateTransfer, StragglerHoldingItsPrePreparesDeliversItsOwnSlots) {
+    // Node 3's verification core is kept busy by a noisy neighbour, so its
+    // request clearance trails the PRE-PREPAREs it receives on time: they
+    // wait in its buffer while nodes 0-2 commit and make checkpoints stable
+    // without it.  Holding a PRE-PREPARE for every slot it is behind on,
+    // node 3 must finish those slots itself instead of state-transferring
+    // past them: a skipped request is never executed there and pins its
+    // client's key-set floor for the rest of the run.
+    ClusterConfig cfg;
+    cfg.seed = 11;
+    cfg.checkpoint_interval = 16;
+    Cluster cluster(cfg);
+    cluster.start();
+
+    sim::Simulator& sim = cluster.simulator();
+    sim::CpuCore& verification = cluster.node(3).cpu().core(core::Node::kVerificationCore);
+    for (int tick = 0; tick < 100; ++tick) {
+        sim.schedule_at(TimePoint{} + milliseconds(10.0 * tick),
+                        [&] { verification.charge(sim, milliseconds(4.0)); });
+    }
+    ClientEndpoint client(ClientId{0}, sim, cluster.network(), cluster.keys(), cfg.n(), cfg.f);
+    LoadGenerator load(sim, {&client}, LoadSpec::constant(2000.0, seconds(1.0), 1), Rng(5));
+    load.start();
+    sim.run_for(seconds(2.0));
+
+    ASSERT_EQ(client.completed(), client.sent());
+    const core::Node& straggler = cluster.node(3);
+    const obs::MetricsRegistry& metrics = cluster.recorder().metrics();
+    for (std::uint32_t inst = 0; inst < straggler.instance_count(); ++inst) {
+        EXPECT_EQ(metrics.counter_value("bft.state_transfers", 3, inst), 0u) << "instance " << inst;
+    }
+    const auto& log = straggler.commit_log();
+    ASSERT_EQ(log.size(), cluster.node(0).commit_log().size());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        ASSERT_EQ(log[i].first, i + 1) << "commit-log hole before seq " << log[i].first;
+    }
+    constexpr std::size_t kSlack = 8;  // StateBounds' slack
+    const core::StateSizes sizes = straggler.state_sizes();
+    EXPECT_LE(sizes.executed_tail, kSlack);
+    for (std::size_t tail : sizes.ordered_tail) EXPECT_LE(tail, kSlack);
 }
 
 // ---------------------------------------------------------------------------

@@ -98,10 +98,11 @@ int main(int argc, char** argv) {
     const rbft::check::ExploreOutcome outcome =
         rbft::check::explore(scenario, first_seed, num_seeds, jobs);
 
-    std::printf("ran %llu seed(s): %llu events, %llu requests completed\n",
+    std::printf("ran %llu seed(s): %llu events, %llu requests completed, %llu state transfers\n",
                 static_cast<unsigned long long>(outcome.seeds_run),
                 static_cast<unsigned long long>(outcome.events),
-                static_cast<unsigned long long>(outcome.completed));
+                static_cast<unsigned long long>(outcome.completed),
+                static_cast<unsigned long long>(outcome.state_transfers));
     for (std::size_t i = 0; i < rbft::check::kOracleCount; ++i) {
         std::printf("  %-20s %llu checks\n",
                     rbft::check::oracle_name(static_cast<rbft::check::OracleId>(i)),

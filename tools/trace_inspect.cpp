@@ -9,8 +9,9 @@
 //
 // Prints: per-protocol-instance ordering rate and phase latencies
 // (pre-prepare -> prepared -> committed -> delivered), the protocol-instance
-// change timeline with the monitoring verdicts that led to each, and NIC /
-// crypto substrate summaries.  --events dumps the (filtered) raw timeline.
+// change timeline with the monitoring verdicts that led to each, every state
+// transfer, and NIC / crypto substrate summaries.  --events dumps the
+// (filtered) raw timeline.
 //
 // The `faults` subcommand renders the fault/recovery view of a chaos run:
 // the injected fault timeline (crash/recover, partition/heal, link and NIC
@@ -343,6 +344,7 @@ int main(int argc, char** argv) {
 
     std::map<std::int64_t, InstanceSummary> instances;
     std::vector<const Event*> ic_timeline;  // votes, dones, view changes
+    std::vector<const Event*> transfers;    // state transfers
     std::map<std::uint64_t, std::uint64_t> verdict_counts;
     std::vector<double> nic_backlog_ns;
     std::map<std::uint64_t, std::pair<std::uint64_t, double>> crypto;  // op -> (count, cost)
@@ -378,6 +380,8 @@ int main(int argc, char** argv) {
         } else if (e.type == "instance_change_vote" || e.type == "instance_change_done" ||
                    e.type == "view_change_start" || e.type == "view_installed") {
             ic_timeline.push_back(&e);
+        } else if (e.type == "state_transfer") {
+            transfers.push_back(&e);
         } else if (e.type == "monitor_verdict") {
             ++verdict_counts[e.b];
         } else if (e.type == "nic_sample") {
@@ -444,6 +448,18 @@ int main(int argc, char** argv) {
                             static_cast<long long>(e->instance),
                             static_cast<unsigned long long>(e->a));
             }
+        }
+    }
+
+    if (!transfers.empty()) {
+        std::printf("\n-- state transfers (slots skipped, never delivered locally) --\n");
+        for (const Event* e : transfers) {
+            std::printf("%12.6f  node %-3lld inst %-2lld skipped seq %llu..%llu "
+                        "(%g buffered PRE-PREPAREs in that range, relayed copies included)\n",
+                        seconds(e->t_ns), static_cast<long long>(e->node),
+                        static_cast<long long>(e->instance),
+                        static_cast<unsigned long long>(e->a),
+                        static_cast<unsigned long long>(e->b), e->x);
         }
     }
 
