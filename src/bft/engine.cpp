@@ -27,6 +27,8 @@ InstanceEngine::InstanceEngine(EngineConfig config, sim::Simulator& simulator, s
     obs::MetricsRegistry& reg = recorder_->metrics();
     const std::uint32_t node = raw(config_.node);
     const std::uint32_t inst = raw(config_.instance);
+    prof_preprepares_offered_ =
+        profiler_ ? profiler_->counter("bft.preprepares_offered", node, inst) : nullptr;
     ctr_preprepares_sent_ = reg.counter("bft.preprepares_sent", node, inst);
     ctr_preprepares_accepted_ = reg.counter("bft.preprepares_accepted", node, inst);
     ctr_batches_delivered_ = reg.counter("bft.batches_delivered", node, inst);
@@ -92,21 +94,19 @@ void InstanceEngine::broadcast(const net::MessagePtr& m, Duration per_dest_cost)
 void InstanceEngine::submit(const RequestRef& ref) {
     if (silent_replica_) return;
     if (ordered_keys_.contains(ref.key())) return;
-    if (!waiting_since_.contains(ref.key())) {
-        waiting_since_.emplace(ref.key(), simulator_.now());
-        waiting_fifo_.emplace_back(ref.key(), simulator_.now());
-    }
+    // A repeated key sits behind its first entry, which oldest_waiting_age
+    // reads first.
+    waiting_fifo_.emplace_back(ref.key(), simulator_.now());
     // Unfair-primary lever: admit this request into the pending queue late.
-    if (is_primary() && behavior_.per_request_delay) {
-        const Duration d = behavior_.per_request_delay(ref);
-        if (d.ns > 0) {
-            simulator_.schedule_after(d, [this, ref] { enqueue_pending(ref); });
-            recheck_buffered_preprepares();
-            return;
-        }
+    const Duration delay = is_primary() && behavior_.per_request_delay
+                               ? behavior_.per_request_delay(ref)
+                               : Duration{};
+    if (delay.ns > 0) {
+        simulator_.schedule_after(delay, [this, ref] { enqueue_pending(ref); });
+    } else {
+        enqueue_pending(ref);
     }
-    enqueue_pending(ref);
-    recheck_buffered_preprepares();
+    wake_request(ref.key());
 }
 
 void InstanceEngine::enqueue_pending(const RequestRef& ref) {
@@ -214,9 +214,7 @@ void InstanceEngine::form_and_send_preprepare(std::vector<RequestRef> batch) {
                                            pp->embedded_payload_bytes) +
                                  costs_.authenticator_ops(config_.n));
     ctr_preprepares_sent_->add();
-    recorder_->event({simulator_.now(), obs::EventType::kPrePrepareSent, raw(config_.node),
-                      raw(config_.instance), raw(pp->seq), raw(pp->view),
-                      static_cast<double>(pp->batch.size())});
+    trace(obs::EventType::kPrePrepareSent, raw(pp->seq), raw(pp->view), pp->batch.size());
     if (behavior_.inter_batch_gap.ns > 0) {
         next_pp_allowed_ = simulator_.now() + behavior_.inter_batch_gap;
     }
@@ -333,6 +331,7 @@ void InstanceEngine::on_message(NodeId from, const net::MessagePtr& m) {
 
 void InstanceEngine::handle_pre_prepare(NodeId from, const PrePrepareMsg& m) {
     if (m.instance != config_.instance) return;
+    if (prof_preprepares_offered_) prof_preprepares_offered_->add();
     last_pp_seen_ = simulator_.now();
     // In repair mode (stall retry enabled) peers relay stored PRE-PREPAREs
     // to lagging replicas.  The relayed message still carries the primary's
@@ -341,8 +340,8 @@ void InstanceEngine::handle_pre_prepare(NodeId from, const PrePrepareMsg& m) {
     if (from != primary_of(m.view) && config_.retry_interval.ns <= 0) return;
     if (raw(m.view) > raw(view_)) {
         // Ahead of us (rotating-primary hand-off or a view we have not
-        // installed yet): buffer and retry after we catch up.
-        buffered_pps_.push_back(m);
+        // installed yet): hold until we catch up.
+        hold(m, std::nullopt);
         return;
     }
     if (m.view != view_ || in_view_change_) return;
@@ -354,7 +353,7 @@ void InstanceEngine::handle_pre_prepare(NodeId from, const PrePrepareMsg& m) {
     // RBFT: prepare only once the node cleared the requests (f+1 PROPAGATEs).
     for (const auto& ref : m.batch) {
         if (!ordered_keys_.contains(ref.key()) && !host_.engine_request_cleared(ref)) {
-            buffered_pps_.push_back(m);
+            hold(m, ref.key());
             return;
         }
     }
@@ -373,9 +372,7 @@ void InstanceEngine::accept_pre_prepare(const PrePrepareMsg& m) {
     s.held_votes = {};
     last_pp_seen_ = simulator_.now();
     ctr_preprepares_accepted_->add();
-    recorder_->event({simulator_.now(), obs::EventType::kPrePrepareAccepted, raw(config_.node),
-                      raw(config_.instance), raw(m.seq), raw(m.view),
-                      static_cast<double>(m.batch.size())});
+    trace(obs::EventType::kPrePrepareAccepted, raw(m.seq), raw(m.view), m.batch.size());
 
     for (const auto& ref : m.batch) {
         // In-flight: stop offering these in our own future batches.
@@ -383,20 +380,9 @@ void InstanceEngine::accept_pre_prepare(const PrePrepareMsg& m) {
     }
 
     if (primary_of(m.view) != config_.node) {
-        auto prep = net::make_msg<PhaseMsg>(config_.message_pool);
-        prep->phase = PhaseMsg::Phase::kPrepare;
-        prep->instance = config_.instance;
-        prep->view = m.view;
-        prep->seq = m.seq;
-        prep->batch_digest = m.batch_digest;
-        prep->replica = config_.node;
-        prep->auth = crypto::make_authenticator(keys_, crypto::Principal::node(config_.node),
-                                                config_.n, m.batch_digest);
-        core_.charge(simulator_, costs_.digest(prep->wire_size()) +
-                                     costs_.authenticator_ops(config_.n));
         s.prepares.insert(config_.node);
         s.sent_prepare = true;
-        broadcast(prep, Duration{});
+        broadcast_phase(s, m.seq, PhaseMsg::Phase::kPrepare);
     }
     try_prepare(m.seq);
     if (config_.speculative_execution) maybe_speculate();
@@ -439,29 +425,32 @@ void InstanceEngine::handle_phase(NodeId from, const PhaseMsg& m) {
     }
 }
 
+void InstanceEngine::broadcast_phase(const Slot& s, SeqNum seq, PhaseMsg::Phase phase) {
+    auto ph = net::make_msg<PhaseMsg>(config_.message_pool);
+    ph->phase = phase;
+    ph->instance = config_.instance;
+    ph->view = s.pre_prepare->view;
+    ph->seq = seq;
+    ph->batch_digest = s.pre_prepare->batch_digest;
+    ph->replica = config_.node;
+    ph->auth = crypto::make_authenticator(keys_, crypto::Principal::node(config_.node),
+                                          config_.n, ph->batch_digest);
+    core_.charge(simulator_,
+                 costs_.digest(ph->wire_size()) + costs_.authenticator_ops(config_.n));
+    broadcast(ph, Duration{});
+}
+
 void InstanceEngine::try_prepare(SeqNum seq) {
     Slot& s = slot(seq);
     if (!s.pre_prepare.has_value() || s.sent_commit) return;
     if (s.prepares.size() < effective_prepare_quorum()) return;
 
-    auto commit = net::make_msg<PhaseMsg>(config_.message_pool);
-    commit->phase = PhaseMsg::Phase::kCommit;
-    commit->instance = config_.instance;
-    commit->view = s.pre_prepare->view;
-    commit->seq = seq;
-    commit->batch_digest = s.pre_prepare->batch_digest;
-    commit->replica = config_.node;
-    commit->auth = crypto::make_authenticator(keys_, crypto::Principal::node(config_.node),
-                                              config_.n, commit->batch_digest);
-    core_.charge(simulator_, costs_.digest(commit->wire_size()) +
-                                 costs_.authenticator_ops(config_.n));
     s.sent_commit = true;
     s.commits.insert(config_.node);
     if (recorder_->observing()) {
-        recorder_->event({simulator_.now(), obs::EventType::kPrepared, raw(config_.node),
-                          raw(config_.instance), raw(seq), raw(s.pre_prepare->view), 0.0});
+        trace(obs::EventType::kPrepared, raw(seq), raw(s.pre_prepare->view), 0.0);
     }
-    broadcast(commit, Duration{});
+    broadcast_phase(s, seq, PhaseMsg::Phase::kCommit);
     try_commit(seq);
 }
 
@@ -471,15 +460,16 @@ void InstanceEngine::try_commit(SeqNum seq) {
     if (s.commits.size() < effective_commit_quorum()) return;
     s.committed = true;
     if (recorder_->observing()) {
-        recorder_->event({simulator_.now(), obs::EventType::kCommitted, raw(config_.node),
-                          raw(config_.instance), raw(seq),
-                          raw(s.pre_prepare ? s.pre_prepare->view : view_), 0.0});
+        trace(obs::EventType::kCommitted, raw(seq),
+              raw(s.pre_prepare ? s.pre_prepare->view : view_), 0.0);
     }
     try_deliver();
 }
 
 void InstanceEngine::try_deliver() {
     if (silent_replica_) return;  // a retired replica must not hand batches up
+    const ViewId entry_view = view_;
+    std::vector<RequestKey> woken;
     while (true) {
         auto it = slots_.find(raw(next_deliver_));
         if (it == slots_.end()) break;
@@ -501,32 +491,20 @@ void InstanceEngine::try_deliver() {
         batch.requests = s.pre_prepare->batch;
         for (const auto& ref : batch.requests) {
             ordered_keys_.insert(ref.key());
-            waiting_since_.erase(ref.key());
+            if (lacking_.contains(ref.key())) woken.push_back(ref.key());
         }
         const double order_latency = (simulator_.now() - s.pp_at).seconds();
         ctr_batches_delivered_->add();
         ctr_requests_ordered_->add(batch.requests.size());
         hist_order_latency_->add(order_latency);
-        recorder_->event({simulator_.now(), obs::EventType::kBatchDelivered, raw(config_.node),
-                          raw(config_.instance), raw(batch.seq), batch.requests.size(),
-                          order_latency});
+        trace(obs::EventType::kBatchDelivered, raw(batch.seq), batch.requests.size(),
+              order_latency);
         if (recorder_->observing()) {
             // Content fingerprint of what was delivered at this sequence
-            // number (FNV-1a over the request identities, the same formula
-            // the node uses for its commit log) — the agreement oracle's
+            // number (the node's commit-log formula): the agreement oracle's
             // input.
-            std::uint64_t h = 1469598103934665603ULL;
-            const auto mix = [&h](std::uint64_t v) {
-                h ^= v;
-                h *= 1099511628211ULL;
-            };
-            for (const auto& ref : batch.requests) {
-                mix(raw(ref.client));
-                mix(raw(ref.rid));
-            }
-            recorder_->event({simulator_.now(), obs::EventType::kBatchFingerprint,
-                              raw(config_.node), raw(config_.instance), raw(batch.seq), h,
-                              static_cast<double>(raw(batch.view))});
+            trace(obs::EventType::kBatchFingerprint, raw(batch.seq),
+                  fingerprint_refs(batch.requests), raw(batch.view));
         }
 
         next_deliver_ = next(next_deliver_);
@@ -539,7 +517,8 @@ void InstanceEngine::try_deliver() {
     while (!waiting_fifo_.empty() && ordered_keys_.contains(waiting_fifo_.front().first)) {
         waiting_fifo_.pop_front();
     }
-    recheck_buffered_preprepares();
+    if (view_ != entry_view) wake_view();
+    for (const RequestKey& key : woken) wake_request(key);
     maybe_send_batch();
 }
 
@@ -570,10 +549,8 @@ void InstanceEngine::maybe_speculate() {
             batch.seq = next_speculate_;
             batch.requests = s.pre_prepare->batch;
             if (recorder_->observing()) {
-                recorder_->event({simulator_.now(), obs::EventType::kBatchSpeculated,
-                                  raw(config_.node), raw(config_.instance), raw(batch.seq),
-                                  fingerprint_refs(batch.requests),
-                                  static_cast<double>(raw(batch.view))});
+                trace(obs::EventType::kBatchSpeculated, raw(batch.seq),
+                      fingerprint_refs(batch.requests), raw(batch.view));
             }
             host_.engine_speculative(batch);
         }
@@ -581,13 +558,39 @@ void InstanceEngine::maybe_speculate() {
     }
 }
 
-void InstanceEngine::recheck_buffered_preprepares() {
-    if (buffered_pps_.empty()) return;
-    std::vector<PrePrepareMsg> retry;
-    retry.swap(buffered_pps_);
-    for (auto& pp : retry) {
-        handle_pre_prepare(primary_of(pp.view), pp);
+void InstanceEngine::hold(const PrePrepareMsg& m, std::optional<RequestKey> lacks) {
+    if (raw(m.seq) <= raw(last_stable_)) return;
+    const auto [lo, hi] = held_.equal_range(raw(m.seq));
+    for (auto it = lo; it != hi; ++it) {
+        if (it->second.view == m.view && it->second.batch_digest == m.batch_digest) return;
     }
+    held_.emplace_hint(hi, raw(m.seq), m);
+    if (lacks) lacking_.emplace(*lacks, raw(m.seq));
+}
+
+void InstanceEngine::wake_request(const RequestKey& key) {
+    const auto [lo, hi] = lacking_.equal_range(key);
+    std::vector<PrePrepareMsg> woken;
+    for (auto w = lo; w != hi; ++w) {
+        const auto [first, last] = held_.equal_range(w->second);
+        for (auto it = first; it != last; ++it) woken.push_back(std::move(it->second));
+        held_.erase(first, last);
+    }
+    lacking_.erase(lo, hi);
+    for (const PrePrepareMsg& pp : woken) handle_pre_prepare(primary_of(pp.view), pp);
+}
+
+void InstanceEngine::wake_view() {
+    std::vector<PrePrepareMsg> woken;
+    for (auto it = held_.begin(); it != held_.end();) {
+        if (raw(it->second.view) > raw(view_)) {
+            ++it;
+            continue;
+        }
+        woken.push_back(std::move(it->second));
+        it = held_.erase(it);
+    }
+    for (const PrePrepareMsg& pp : woken) handle_pre_prepare(primary_of(pp.view), pp);
 }
 
 // ---------------------------------------------------------------------------
@@ -690,13 +693,15 @@ void InstanceEngine::advance_stable(SeqNum seq) {
 void InstanceEngine::adopt_stable(SeqNum seq) {
     if (recorder_->observing()) {
         const auto it = checkpoint_votes_.find(raw(seq));
-        recorder_->event({simulator_.now(), obs::EventType::kCheckpointStable,
-                          raw(config_.node), raw(config_.instance), raw(seq),
-                          it == checkpoint_votes_.end() ? 0 : it->second.size(), 0.0});
+        trace(obs::EventType::kCheckpointStable, raw(seq),
+              it == checkpoint_votes_.end() ? 0 : it->second.size(), 0.0);
     }
     last_stable_ = seq;
     if (raw(deferred_stable_) <= raw(seq)) deferred_stable_ = SeqNum{0};
     slots_.erase(slots_.begin(), slots_.upper_bound(raw(seq)));
+    held_.erase(held_.begin(), held_.upper_bound(raw(seq)));
+    // Otherwise an entry outlives its hold until its request wakes.
+    std::erase_if(lacking_, [seq](const auto& w) { return w.second <= raw(seq); });
     checkpoint_votes_.erase(checkpoint_votes_.begin(),
                             checkpoint_votes_.upper_bound(raw(seq)));
 }
@@ -705,19 +710,14 @@ void InstanceEngine::transfer_state(SeqNum seq) {
     // State transfer (PBFT): adopt the checkpoint and resume delivery after
     // it.  The slots in between are never delivered here.
     const SeqNum from = next_deliver_;
-    std::uint64_t buffered = 0;
-    for (const PrePrepareMsg& pp : buffered_pps_) {
-        if (raw(pp.seq) >= raw(from) && raw(pp.seq) <= raw(seq)) ++buffered;
-    }
+    const auto held = std::distance(held_.lower_bound(raw(from)), held_.upper_bound(raw(seq)));
     adopt_stable(seq);
     // Resolved here, not in the constructor: a run without a state transfer
     // exports no such counter, and its metrics stay as they were.
     recorder_->metrics()
         .counter("bft.state_transfers", raw(config_.node), raw(config_.instance))
         ->add();
-    recorder_->event({simulator_.now(), obs::EventType::kStateTransfer, raw(config_.node),
-                      raw(config_.instance), raw(from), raw(seq),
-                      static_cast<double>(buffered)});
+    trace(obs::EventType::kStateTransfer, raw(from), raw(seq), held);
     next_deliver_ = SeqNum{raw(seq) + 1};
     if (raw(next_seq_) < raw(next_deliver_)) next_seq_ = next_deliver_;
     recovering_ = false;  // rejoined: quorum state adopted
@@ -726,35 +726,16 @@ void InstanceEngine::transfer_state(SeqNum seq) {
 }
 
 bool InstanceEngine::holds_preprepares_through(SeqNum seq) const {
-    std::vector<std::uint64_t> buffered;
-    buffered.reserve(buffered_pps_.size());
-    for (const PrePrepareMsg& pp : buffered_pps_) buffered.push_back(raw(pp.seq));
-    std::sort(buffered.begin(), buffered.end());
     for (std::uint64_t s = raw(next_deliver_); s <= raw(seq); ++s) {
         const auto it = slots_.find(s);
         if (it != slots_.end() && it->second.pre_prepare.has_value()) continue;
-        if (!std::binary_search(buffered.begin(), buffered.end(), s)) return false;
+        if (!held_.contains(s)) return false;
     }
     return true;
 }
 
 // ---------------------------------------------------------------------------
 // Stall retry.
-
-void InstanceEngine::broadcast_phase_copy(const Slot& s, SeqNum seq, PhaseMsg::Phase phase) {
-    auto ph = net::make_msg<PhaseMsg>(config_.message_pool);
-    ph->phase = phase;
-    ph->instance = config_.instance;
-    ph->view = s.pre_prepare->view;
-    ph->seq = seq;
-    ph->batch_digest = s.pre_prepare->batch_digest;
-    ph->replica = config_.node;
-    ph->auth = crypto::make_authenticator(keys_, crypto::Principal::node(config_.node),
-                                          config_.n, ph->batch_digest);
-    core_.charge(simulator_,
-                 costs_.digest(ph->wire_size()) + costs_.authenticator_ops(config_.n));
-    broadcast(ph, Duration{});
-}
 
 void InstanceEngine::retry_stalled() {
     if (silent_replica_ || behavior_.silent || in_view_change_) return;
@@ -790,24 +771,19 @@ void InstanceEngine::retry_stalled() {
     // partition or lossy link punched into the quorums.
     constexpr std::uint32_t kRetrySlots = 32;
     std::uint32_t scanned = 0;
-    bool counted = false;
     for (auto sit = slots_.lower_bound(raw(next_deliver_));
          sit != slots_.end() && scanned < kRetrySlots; ++sit, ++scanned) {
         Slot& s = sit->second;
         if (s.delivered || !s.pre_prepare.has_value()) continue;
         if (raw(s.pre_prepare->view) != raw(view_)) continue;
         if ((simulator_.now() - s.pp_at).ns <= config_.retry_interval.ns) continue;
-        if (!counted) {
-            ++stall_retries_;
-            counted = true;
-        }
         if (primary_of(view_) == config_.node) {
             auto pp = net::make_msg<PrePrepareMsg>(config_.message_pool, *s.pre_prepare);
             core_.charge(simulator_, costs_.authenticator_ops(config_.n));
             broadcast(pp, Duration{});
         }
-        if (s.sent_prepare) broadcast_phase_copy(s, SeqNum{sit->first}, PhaseMsg::Phase::kPrepare);
-        if (s.sent_commit) broadcast_phase_copy(s, SeqNum{sit->first}, PhaseMsg::Phase::kCommit);
+        if (s.sent_prepare) broadcast_phase(s, SeqNum{sit->first}, PhaseMsg::Phase::kPrepare);
+        if (s.sent_commit) broadcast_phase(s, SeqNum{sit->first}, PhaseMsg::Phase::kCommit);
     }
 }
 
@@ -832,8 +808,8 @@ void InstanceEngine::repair_peer(std::uint64_t peer_executed) {
         auto pp = net::make_msg<PrePrepareMsg>(config_.message_pool, *s.pre_prepare);
         core_.charge(simulator_, costs_.authenticator_ops(config_.n));
         broadcast(pp, Duration{});
-        if (s.sent_prepare) broadcast_phase_copy(s, SeqNum{seq}, PhaseMsg::Phase::kPrepare);
-        if (s.sent_commit) broadcast_phase_copy(s, SeqNum{seq}, PhaseMsg::Phase::kCommit);
+        if (s.sent_prepare) broadcast_phase(s, SeqNum{seq}, PhaseMsg::Phase::kPrepare);
+        if (s.sent_commit) broadcast_phase(s, SeqNum{seq}, PhaseMsg::Phase::kCommit);
     }
 }
 
@@ -849,8 +825,7 @@ void InstanceEngine::start_view_change(ViewId target) {
     vc_started_at_ = simulator_.now();
     sent_new_view_ = false;
     if (recorder_->observing()) {
-        recorder_->event({simulator_.now(), obs::EventType::kViewChangeStart, raw(config_.node),
-                          raw(config_.instance), raw(target), 0, 0.0});
+        trace(obs::EventType::kViewChangeStart, raw(target), 0, 0.0);
     }
     batch_timer_.disarm(simulator_);
     broadcast_view_change();
@@ -978,8 +953,7 @@ void InstanceEngine::install_view(ViewId v, const std::vector<PreparedProof>& re
     in_view_change_ = false;
     recovering_ = false;  // any installed view means we are synced again
     ctr_view_changes_->add();
-    recorder_->event({simulator_.now(), obs::EventType::kViewInstalled, raw(config_.node),
-                      raw(config_.instance), raw(v), 0, 0.0});
+    trace(obs::EventType::kViewInstalled, raw(v), 0, 0.0);
 
     // Discard votes for views now in the past.
     for (auto it = vc_messages_.begin(); it != vc_messages_.end();) {
@@ -1025,7 +999,7 @@ void InstanceEngine::install_view(ViewId v, const std::vector<PreparedProof>& re
     next_seq_ = SeqNum{std::max(max_seq + 1, raw(next_deliver_))};
 
     host_.engine_view_installed(config_.instance, v);
-    recheck_buffered_preprepares();
+    wake_view();
     maybe_send_batch();
 }
 

@@ -17,6 +17,11 @@
 // Vote accounting: a PREPARE/COMMIT counts only toward the accepted
 // PRE-PREPARE's (view, digest); one that arrives earlier is held until the
 // PRE-PREPARE is accepted (DESIGN.md §5, item 11).
+//
+// A PRE-PREPARE that cannot be accepted yet is held and offered again only
+// when what it waits for happens: the request it lacks is submitted or
+// ordered here, or the view reaches its own.  A stable checkpoint at its
+// seq or an installed later view drops it (DESIGN.md §5, item 12).
 #pragma once
 
 #include <cstdint>
@@ -242,15 +247,12 @@ public:
     [[nodiscard]] std::uint64_t preprepares_sent() const noexcept {
         return ctr_preprepares_sent_->value();
     }
-    [[nodiscard]] std::uint64_t view_changes_completed() const noexcept {
-        return ctr_view_changes_->value();
-    }
     [[nodiscard]] std::uint64_t flood_discards() const noexcept { return flood_discards_; }
-    [[nodiscard]] std::uint64_t stall_retries() const noexcept { return stall_retries_; }
     [[nodiscard]] bool recovering() const noexcept { return recovering_; }
     [[nodiscard]] SeqNum last_stable() const noexcept { return last_stable_; }
     [[nodiscard]] SeqNum next_to_deliver() const noexcept { return next_deliver_; }
     [[nodiscard]] std::size_t pending_requests() const noexcept { return pending_.size(); }
+    [[nodiscard]] std::size_t held_preprepares() const noexcept { return held_.size(); }
     [[nodiscard]] TimePoint last_preprepare_seen() const noexcept { return last_pp_seen_; }
 
     /// Age of the oldest request submitted but not yet ordered (drives the
@@ -297,12 +299,21 @@ private:
     void form_and_send_preprepare(std::vector<RequestRef> batch);
 
     // Progress.
+    /// Builds, authenticates and broadcasts this replica's `phase` vote for
+    /// the PRE-PREPARE accepted at `seq`.
+    void broadcast_phase(const Slot& s, SeqNum seq, PhaseMsg::Phase phase);
     void try_prepare(SeqNum seq);
     void try_commit(SeqNum seq);
     void try_deliver();
     void maybe_speculate();
     void accept_pre_prepare(const PrePrepareMsg& m);
-    void recheck_buffered_preprepares();
+    /// Holds `m` until `lacks` is submitted or ordered, or (none) until the
+    /// view reaches m.view.  The same (view, seq, digest) is held once.
+    void hold(const PrePrepareMsg& m, std::optional<RequestKey> lacks);
+    /// Offers again the holds at the seqs where one lacks `key`.
+    void wake_request(const RequestKey& key);
+    /// Offers again every hold the view is no longer behind.
+    void wake_view();
     void maybe_checkpoint();
     /// Builds, signs and broadcasts this replica's CHECKPOINT for `seq`.
     void broadcast_checkpoint(SeqNum seq);
@@ -311,7 +322,7 @@ private:
     void adopt_stable(SeqNum seq);
     /// Adopts the stable checkpoint `seq` and skips delivery to it.
     void transfer_state(SeqNum seq);
-    /// True when an accepted or buffered PRE-PREPARE covers every slot from
+    /// True when an accepted or held PRE-PREPARE covers every slot from
     /// next_deliver_ through `seq`.
     [[nodiscard]] bool holds_preprepares_through(SeqNum seq) const;
 
@@ -327,7 +338,6 @@ private:
     void maybe_adopt_peer_view();
     void retry_stalled();
     void repair_peer(std::uint64_t peer_executed);
-    void broadcast_phase_copy(const Slot& s, SeqNum seq, PhaseMsg::Phase phase);
 
     [[nodiscard]] Digest batch_digest(const std::vector<RequestRef>& batch) const;
     [[nodiscard]] std::uint64_t batch_ref_bytes(std::size_t count) const noexcept {
@@ -347,6 +357,11 @@ private:
     [[nodiscard]] Slot& slot(SeqNum seq) { return slots_[raw(seq)]; }
 
     void broadcast(const net::MessagePtr& m, Duration per_dest_cost);
+    /// Records a trace event of this replica, now.
+    void trace(obs::EventType type, std::uint64_t a, std::uint64_t b, double x) {
+        recorder_->event(
+            {simulator_.now(), type, raw(config_.node), raw(config_.instance), a, b, x});
+    }
 
     EngineConfig config_;
     sim::Simulator& simulator_;
@@ -365,9 +380,9 @@ private:
     std::deque<RequestRef> pending_;
     det::set<RequestKey> pending_keys_;
     RequestKeySet ordered_keys_;
-    det::map<RequestKey, TimePoint> waiting_since_;
     std::deque<std::pair<RequestKey, TimePoint>> waiting_fifo_;
-    std::vector<PrePrepareMsg> buffered_pps_;  // awaiting clearance or view
+    std::multimap<std::uint64_t, PrePrepareMsg> held_;  // keyed by raw seq
+    std::multimap<RequestKey, std::uint64_t> lacking_;  // request -> seq of a hold lacking it
 
     // Checkpoints: per seq, set of voters.
     std::map<std::uint64_t, std::set<NodeId>> checkpoint_votes_;
@@ -401,6 +416,7 @@ private:
     // Registry handles, resolved once in the constructor (profiler_ may be null).
     obs::Recorder* recorder_;
     obs::prof::Profiler* profiler_ = nullptr;
+    obs::Counter* prof_preprepares_offered_ = nullptr;  // profiling only
     obs::Counter* ctr_preprepares_sent_ = nullptr;
     obs::Counter* ctr_preprepares_accepted_ = nullptr;
     obs::Counter* ctr_batches_delivered_ = nullptr;
@@ -409,7 +425,6 @@ private:
     LatencyHistogram* hist_order_latency_ = nullptr;
 
     std::uint64_t flood_discards_ = 0;
-    std::uint64_t stall_retries_ = 0;
     TimePoint last_repair_at_{};
 };
 

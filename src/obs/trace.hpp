@@ -32,7 +32,7 @@ enum class EventType : std::uint8_t {
     kBatchFingerprint,    // a = seq, b = FNV-1a over the batch's (client, rid) pairs, x = view
     kBatchSpeculated,     // a = seq, b = batch fingerprint, x = view (speculative mode)
     kCheckpointStable,    // a = stable seq, b = checkpoint votes held
-    kStateTransfer,       // a = first skipped seq, b = adopted checkpoint, x = buffered PPs skipped
+    kStateTransfer,       // a = first skipped seq, b = adopted checkpoint, x = held PPs skipped
     // View / protocol-instance management.
     kViewChangeStart,      // a = target view
     kViewInstalled,        // a = installed view

@@ -49,6 +49,7 @@ core::StateSizes BaselineNode::state_sizes() const {
     sizes.retained_bodies = known_requests_.size();
     sizes.executed_tail = executed_.tail_size();
     sizes.ordered_tail.push_back(engine_->ordered_tail());
+    sizes.held_preprepares.push_back(engine_->held_preprepares());
     return sizes;
 }
 

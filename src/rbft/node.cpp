@@ -92,7 +92,10 @@ StateSizes Node::state_sizes() const {
         if (state.request) ++sizes.retained_bodies;
     }
     sizes.executed_tail = executed_.tail_size();
-    for (const auto& engine : engines_) sizes.ordered_tail.push_back(engine->ordered_tail());
+    for (const auto& engine : engines_) {
+        sizes.ordered_tail.push_back(engine->ordered_tail());
+        sizes.held_preprepares.push_back(engine->held_preprepares());
+    }
     return sizes;
 }
 
@@ -512,7 +515,7 @@ void Node::dispatch(const RequestKey& key) {
     ref.rid = state.request->rid;
     ref.digest = state.request->digest;
     ref.payload_bytes = static_cast<std::uint32_t>(state.request->payload.size());
-    // submit() can deliver synchronously (a buffered PRE-PREPARE was waiting
+    // submit() can deliver synchronously (a held PRE-PREPARE was waiting
     // for exactly this clearance), and the delivery may retire the entry:
     // `state` must not be touched past this point.
     for (auto& engine : engines_) engine->submit(ref);

@@ -162,6 +162,8 @@ struct StateSizes {
     std::size_t executed_tail = 0;
     /// Per instance: ordered keys stored individually above the floors.
     std::vector<std::size_t> ordered_tail;
+    /// Per instance: PRE-PREPAREs held until they can be accepted.
+    std::vector<std::size_t> held_preprepares;
 };
 
 class Node final : public bft::EngineHost, public bft::ExecutionSink {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "bft/engine.hpp"
@@ -29,11 +30,13 @@ RequestRef ref_for(std::uint64_t i, std::uint32_t payload = 8) {
 }
 
 /// Loopback harness: four engines on four "nodes", messages delivered with
-/// a small fixed latency, everything cleared, ordered batches recorded.
+/// a small fixed latency, every request cleared unless listed in
+/// `uncleared_`, ordered batches recorded.
 class EngineHarness : public EngineHost {
 public:
     explicit EngineHarness(EngineConfig base = {}, std::uint32_t n = 4)
         : keys_(123), cores_(n) {
+        recorder_.enable_profiling();
         for (std::uint32_t i = 0; i < n; ++i) {
             EngineConfig cfg = base;
             cfg.node = NodeId{i};
@@ -64,7 +67,9 @@ public:
         deliveries_.push_back(batch);
     }
 
-    bool engine_request_cleared(const RequestRef&) override { return cleared_; }
+    bool engine_request_cleared(const RequestRef& ref) override {
+        return !uncleared_.contains(ref.key());
+    }
     void engine_view_installed(InstanceId, ViewId view) override {
         installed_views_.push_back(view);
     }
@@ -78,13 +83,19 @@ public:
     std::uint64_t state_transfers(std::uint32_t node) const {
         return recorder_.metrics().counter_value("bft.state_transfers", node, 0);
     }
+    std::uint64_t offers(std::uint32_t node) const {
+        return recorder_.profiler()->counter_value("bft.preprepares_offered", node, 0);
+    }
+    std::uint64_t accepted(std::uint32_t node) const {
+        return recorder_.metrics().counter_value("bft.preprepares_accepted", node, 0);
+    }
 
     /// Requests delivered per node (deliveries_ interleaves nodes; for a
     /// single instance each node delivers every batch exactly once, so the
     /// total count is divisible by n when all nodes are live).
     std::vector<OrderedBatch> deliveries_;
     std::vector<ViewId> installed_views_;
-    bool cleared_ = true;
+    std::set<RequestKey> uncleared_;  // the node has not seen f+1 PROPAGATEs
     /// Optional in-flight tamper hook: may replace the message or stretch
     /// the latency of any engine-to-engine send.
     std::function<void(NodeId dest, net::MessagePtr& m, Duration& latency)> intercept_;
@@ -221,12 +232,12 @@ TEST(Engine, OversizedSingleRequestStillAdmitted) {
 
 TEST(Engine, RequestClearanceGatesPreparing) {
     EngineHarness h;
-    h.cleared_ = false;  // node has not seen f+1 PROPAGATEs
+    h.uncleared_.insert(ref_for(1).key());
     h.submit_all(ref_for(1));
     h.sim.run_for(milliseconds(500.0));
     EXPECT_EQ(total_requests(h.deliveries_), 0u);
-    h.cleared_ = true;
-    h.submit_all(ref_for(1));  // triggers re-check of buffered PRE-PREPAREs
+    h.uncleared_.clear();
+    h.submit_all(ref_for(1));  // the clearance push wakes the held PRE-PREPARE
     h.sim.run_for(seconds(1.0));
     EXPECT_EQ(h.engine(1).total_ordered(), 1u);
 }
@@ -245,6 +256,9 @@ TEST(Engine, OldestWaitingAgeTracksUnorderedRequests) {
     h.sim.run_for(milliseconds(100.0));
     EXPECT_GE(h.engine(1).oldest_waiting_age().ns, milliseconds(99.0).ns);
     EXPECT_EQ(h.engine(1).oldest_waiting_age().ns, h.sim.now().ns);  // since t=0
+    h.engine(1).submit(ref_for(1));  // a second submit keeps the first time
+    h.sim.run_for(milliseconds(100.0));
+    EXPECT_EQ(h.engine(1).oldest_waiting_age().ns, h.sim.now().ns);
 }
 
 // ---------------------------------------------------------------------------
@@ -354,6 +368,154 @@ TEST(EngineCheckpoint, DeferralEndsAfterARetryPeriodWithoutDelivery) {
     EXPECT_EQ(h.state_transfers(3), 1u);
     EXPECT_EQ(raw(h.engine(3).last_stable()), 4u);
     EXPECT_EQ(raw(h.engine(3).next_to_deliver()), 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Held PRE-PREPAREs: offered again only when what they wait for happens.
+
+TEST(EngineHold, PrePrepareLackingTwoRequestsWaitsForBoth) {
+    EngineConfig cfg;
+    cfg.batch_max = 2;
+    EngineHarness h(cfg);
+    net::MessagePtr copy;
+    h.intercept_ = [&copy](NodeId dest, net::MessagePtr& m, Duration&) {
+        if (dest == NodeId{1} && m->type() == net::MsgType::kPrePrepare) copy = m;
+    };
+    h.uncleared_ = {ref_for(1).key(), ref_for(2).key()};
+    h.engine(0).submit(ref_for(1));
+    h.engine(0).submit(ref_for(2));  // the primary proposes both in one batch
+    h.sim.run_for(milliseconds(5.0));
+    ASSERT_NE(copy, nullptr);
+    EXPECT_EQ(h.engine(1).held_preprepares(), 1u);
+    EXPECT_EQ(h.offers(1), 1u);
+
+    h.engine(1).on_message(NodeId{0}, copy);  // the same PRE-PREPARE again
+    for (std::uint64_t i = 3; i <= 6; ++i) h.engine(1).submit(ref_for(i));  // unrelated
+    h.sim.run_for(milliseconds(5.0));
+    EXPECT_EQ(h.engine(1).held_preprepares(), 1u);
+    EXPECT_EQ(h.offers(1), 2u);  // only the copy's own arrival
+
+    h.uncleared_.erase(ref_for(1).key());
+    for (std::uint32_t i = 1; i < 4; ++i) h.engine(i).submit(ref_for(1));
+    h.sim.run_for(milliseconds(5.0));
+    EXPECT_EQ(h.offers(1), 3u);  // woken, now waiting on the second request
+    EXPECT_EQ(h.engine(1).held_preprepares(), 1u);
+    EXPECT_EQ(h.engine(1).total_ordered(), 0u);
+
+    h.uncleared_.clear();
+    for (std::uint32_t i = 1; i < 4; ++i) h.engine(i).submit(ref_for(2));
+    h.sim.run_for(milliseconds(50.0));
+    EXPECT_EQ(h.offers(1), 4u);
+    EXPECT_EQ(h.engine(1).held_preprepares(), 0u);
+    for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(h.engine(i).total_ordered(), 2u) << i;
+}
+
+TEST(EngineHold, HoldReleasedWhenItsRequestIsOrderedThroughAnotherSlot) {
+    // Node 1 holds a PRE-PREPARE for seq 2 lacking request 1.  The request
+    // then clears without reaching node 1's engine, and the primary orders
+    // it at seq 1: that ordering alone wakes the hold.
+    EngineConfig cfg;
+    cfg.batch_max = 1;
+    EngineHarness h(cfg);
+    auto pp = std::make_shared<PrePrepareMsg>();
+    pp->view = ViewId{0};
+    pp->seq = SeqNum{2};
+    pp->batch = {ref_for(1)};
+    h.uncleared_.insert(ref_for(1).key());
+    h.engine(1).on_message(NodeId{0}, pp);
+    h.sim.run_for(milliseconds(1.0));
+    EXPECT_EQ(h.engine(1).held_preprepares(), 1u);
+
+    h.uncleared_.clear();
+    h.engine(0).submit(ref_for(1));
+    h.sim.run_for(milliseconds(50.0));
+    EXPECT_EQ(h.engine(1).total_ordered(), 1u);
+    EXPECT_EQ(h.engine(1).held_preprepares(), 0u);
+    EXPECT_EQ(h.offers(1), 3u);  // the hold, seq 1, the hold woken by ordering
+}
+
+TEST(EngineHold, LaterViewPrePrepareAcceptedOnceTheViewInstalls) {
+    // Node 2's NEW-VIEW is late, so the view-1 primary's PRE-PREPARE
+    // arrives first: node 2 holds it and accepts it on installing view 1.
+    EngineHarness h;
+    h.intercept_ = [](NodeId dest, net::MessagePtr& m, Duration& latency) {
+        if (dest == NodeId{2} && m->type() == net::MsgType::kNewView) {
+            latency = latency + milliseconds(20.0);
+        }
+    };
+    for (std::uint32_t i = 0; i < 4; ++i) h.engine(i).start_view_change(ViewId{1});
+    h.sim.run_for(milliseconds(5.0));
+    ASSERT_EQ(h.engine(1).view(), ViewId{1});
+    ASSERT_EQ(h.engine(2).view(), ViewId{0});
+    h.submit_all(ref_for(1));
+    h.sim.run_for(milliseconds(5.0));
+    EXPECT_EQ(h.engine(2).held_preprepares(), 1u);
+    EXPECT_EQ(h.accepted(2), 0u);
+    h.sim.run_for(milliseconds(50.0));
+    EXPECT_EQ(h.engine(2).view(), ViewId{1});
+    EXPECT_EQ(h.engine(2).held_preprepares(), 0u);
+    EXPECT_EQ(h.accepted(2), 1u);
+    EXPECT_EQ(h.engine(2).total_ordered(), 1u);
+}
+
+TEST(EngineHold, RotatingHandOffIsAcceptedOnceTheViewAdvances) {
+    // Node 3's COMMITs are late, so the view-1 primary's PRE-PREPARE for
+    // seq 2 arrives while node 3 is still in view 0.  Delivering seq 1
+    // advances its view, which wakes the held PRE-PREPARE.
+    EngineConfig cfg;
+    cfg.rotating_primary = true;
+    cfg.batch_max = 1;
+    EngineHarness h(cfg);
+    h.intercept_ = slow_to_node3({net::MsgType::kCommit}, milliseconds(5.0));
+    h.submit_all(ref_for(1));
+    h.submit_all(ref_for(2));
+    h.sim.run_for(milliseconds(2.0));
+    EXPECT_EQ(h.engine(3).view(), ViewId{0});
+    EXPECT_EQ(h.engine(3).held_preprepares(), 1u);
+    h.sim.run_for(milliseconds(50.0));
+    EXPECT_EQ(h.engine(3).total_ordered(), 2u);
+    EXPECT_EQ(h.engine(3).held_preprepares(), 0u);
+}
+
+TEST(EngineHold, ViewInstallDropsHoldsOfOlderViews) {
+    EngineHarness h;
+    h.uncleared_.insert(ref_for(1).key());
+    h.engine(0).submit(ref_for(1));
+    h.sim.run_for(milliseconds(5.0));
+    for (std::uint32_t i = 1; i < 4; ++i) ASSERT_EQ(h.engine(i).held_preprepares(), 1u) << i;
+    for (std::uint32_t i = 0; i < 4; ++i) h.engine(i).start_view_change(ViewId{1});
+    h.sim.run_for(milliseconds(50.0));
+    for (std::uint32_t i = 1; i < 4; ++i) {
+        EXPECT_EQ(h.engine(i).view(), ViewId{1}) << i;
+        EXPECT_EQ(h.engine(i).held_preprepares(), 0u) << i;
+    }
+}
+
+TEST(EngineHold, StateTransferDropsHoldsItSkips) {
+    // Node 3 sees every PRE-PREPARE with an extra request that never
+    // clears there: it holds all of them, defers checkpoint 4, and the
+    // transfer to checkpoint 8 drops the holds it skips.
+    EngineConfig cfg;
+    cfg.batch_max = 1;
+    cfg.checkpoint_interval = 4;
+    EngineHarness h(cfg);
+    h.uncleared_.insert(ref_for(99).key());
+    h.intercept_ = [](NodeId dest, net::MessagePtr& m, Duration&) {
+        if (dest != NodeId{3} || m->type() != net::MsgType::kPrePrepare) return;
+        auto padded = std::make_shared<PrePrepareMsg>(static_cast<const PrePrepareMsg&>(*m));
+        padded->batch.push_back(ref_for(99));
+        m = padded;
+    };
+    for (std::uint64_t i = 1; i <= 4; ++i) h.submit_all(ref_for(i));
+    h.sim.run_for(milliseconds(50.0));
+    ASSERT_EQ(raw(h.engine(0).last_stable()), 4u);
+    EXPECT_EQ(h.engine(3).held_preprepares(), 4u);
+    EXPECT_EQ(raw(h.engine(3).last_stable()), 0u);  // deferred: it holds every slot
+    for (std::uint64_t i = 5; i <= 8; ++i) h.submit_all(ref_for(i));
+    h.sim.run_for(milliseconds(50.0));
+    EXPECT_EQ(h.state_transfers(3), 1u);
+    EXPECT_EQ(raw(h.engine(3).last_stable()), 8u);
+    EXPECT_EQ(h.engine(3).held_preprepares(), 0u);
 }
 
 TEST(Engine, WatermarkBoundsInFlightProposals) {

@@ -127,9 +127,10 @@ TEST(StateBounds, TenTimesLongerRunEndsWithTheSameBoundedState) {
     // Soak check for per-request state: a fault-free saturated run 10x
     // longer than a short one must end (after run_rbft's drain) with the
     // same request-table size, retained-body count and key-set tails,
-    // within a small constant.  Finished requests leave the table; the
-    // executed key set answers late PROPAGATEs and engine clearance queries
-    // for them (see DESIGN.md, state lifetimes).
+    // within a small constant, and no more held PRE-PREPAREs.  Finished
+    // requests leave the table; the executed key set answers late
+    // PROPAGATEs and engine clearance queries for them (see DESIGN.md,
+    // state lifetimes).
     const auto run = [](Duration load) {
         RbftScenario scenario;
         scenario.seed = 3;
@@ -152,6 +153,8 @@ TEST(StateBounds, TenTimesLongerRunEndsWithTheSameBoundedState) {
         ASSERT_EQ(l.ordered_tail.size(), s.ordered_tail.size());
         for (std::size_t inst = 0; inst < l.ordered_tail.size(); ++inst) {
             EXPECT_LE(l.ordered_tail[inst], s.ordered_tail[inst] + kSlack)
+                << "node " << i << " instance " << inst;
+            EXPECT_LE(l.held_preprepares.at(inst), s.held_preprepares.at(inst))
                 << "node " << i << " instance " << inst;
         }
     }

@@ -455,7 +455,7 @@ int main(int argc, char** argv) {
         std::printf("\n-- state transfers (slots skipped, never delivered locally) --\n");
         for (const Event* e : transfers) {
             std::printf("%12.6f  node %-3lld inst %-2lld skipped seq %llu..%llu "
-                        "(%g buffered PRE-PREPAREs in that range, relayed copies included)\n",
+                        "(%g held PRE-PREPAREs in that range)\n",
                         seconds(e->t_ns), static_cast<long long>(e->node),
                         static_cast<long long>(e->instance),
                         static_cast<unsigned long long>(e->a),
