@@ -14,6 +14,10 @@
 //    (corrupt_sig, corrupt_mac_mask): a corrupted entry fails verification
 //    at the targeted receiver exactly as a forged byte-string would, while
 //    keeping the simulation inspectable.
+//
+// Every wire type defaults operator==, field by field, so the round-trip
+// fuzz (tests/test_fuzz_decode.cpp) catches a field that encode or decode
+// leaves out.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +87,7 @@ public:
     /// accounting (zero by construction on this path).
     [[nodiscard]] Digest signed_digest(net::WireStats* stats = nullptr) const;
 
+    bool operator==(const RequestMsg&) const = default;
     void encode(net::WireWriter& w) const;
     static RequestMsg decode(net::WireReader& r);
 };
@@ -101,6 +106,7 @@ public:
         return net::kFrameHeaderBytes + 4 + 8 + 4 + 4 + result.size() + net::kMacBytes;
     }
 
+    bool operator==(const ReplyMsg&) const = default;
     void encode(net::WireWriter& w) const;
     static ReplyMsg decode(net::WireReader& r);
 };
@@ -131,6 +137,7 @@ public:
                net::authenticator_bytes(static_cast<std::uint32_t>(auth.macs.size()));
     }
 
+    bool operator==(const PrePrepareMsg&) const = default;
     void encode(net::WireWriter& w) const;
     static PrePrepareMsg decode(net::WireReader& r);
 };
@@ -160,6 +167,7 @@ public:
                net::authenticator_bytes(static_cast<std::uint32_t>(auth.macs.size()));
     }
 
+    bool operator==(const PhaseMsg&) const = default;
     void encode(net::WireWriter& w) const;
     static PhaseMsg decode(net::WireReader& r);
 };
@@ -193,6 +201,7 @@ public:
                net::authenticator_bytes(static_cast<std::uint32_t>(auth.macs.size()));
     }
 
+    bool operator==(const CheckpointMsg&) const = default;
     void encode(net::WireWriter& w) const;
     static CheckpointMsg decode(net::WireReader& r);
 };
@@ -209,6 +218,7 @@ struct PreparedProof {
     [[nodiscard]] std::size_t wire_bytes() const noexcept {
         return kFixedWireBytes + batch.size() * RequestRef::kWireBytes;
     }
+    bool operator==(const PreparedProof&) const = default;
     void encode(net::WireWriter& w) const;
     static PreparedProof decode(net::WireReader& r);
 };
@@ -234,6 +244,7 @@ public:
     /// Streaming digest of the signature-covered fields (no buffer).
     [[nodiscard]] Digest signed_digest() const;
 
+    bool operator==(const ViewChangeMsg&) const = default;
     void encode(net::WireWriter& w) const;
     static ViewChangeMsg decode(net::WireReader& r);
 };
@@ -261,6 +272,7 @@ public:
     /// Streaming digest of the signature-covered fields (no buffer).
     [[nodiscard]] Digest signed_digest() const;
 
+    bool operator==(const NewViewMsg&) const = default;
     void encode(net::WireWriter& w) const;
     static NewViewMsg decode(net::WireReader& r);
 };

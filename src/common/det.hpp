@@ -12,8 +12,8 @@
 // `std::set`), plus a no-op `reserve()` so call sites migrating from the
 // unordered containers keep compiling.  Protocol-critical state — anything
 // under src/{bft,rbft,protocols,net,sim,fault} — must use these (or a
-// sequence container) whenever it is iterated; `tools/rbft_lint` enforces
-// the rule (`det-unordered-iteration`).
+// sequence container); tests/test_source_rules.cpp bans std::unordered_*
+// and std::hash there outright.
 //
 // The O(log n) lookup (vs amortized O(1)) is irrelevant at simulation
 // scale; determinism of the replayed schedule is not.

@@ -12,7 +12,6 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 namespace rbft {
@@ -87,7 +86,7 @@ inline constexpr std::uint32_t kMaxNodes = 64;
 /// deterministic merge interleaves.
 [[nodiscard]] constexpr std::uint32_t merge_width(std::uint32_t f) noexcept { return f + 1; }
 
-/// SHA-256 digest of a request or batch.  Value type, hashable, comparable.
+/// SHA-256 digest of a request or batch.  Value type, comparable.
 struct Digest {
     std::array<std::uint8_t, 32> bytes{};
 
@@ -115,22 +114,3 @@ struct RequestKey {
 };
 
 }  // namespace rbft
-
-template <>
-struct std::hash<rbft::Digest> {
-    std::size_t operator()(const rbft::Digest& d) const noexcept {
-        // The digest is already uniformly distributed; fold the first bytes.
-        std::size_t h = 0;
-        for (std::size_t i = 0; i < sizeof(std::size_t); ++i) {
-            h = (h << 8) | d.bytes[i];
-        }
-        return h;
-    }
-};
-
-template <>
-struct std::hash<rbft::RequestKey> {
-    std::size_t operator()(const rbft::RequestKey& k) const noexcept {
-        return (static_cast<std::size_t>(rbft::raw(k.client)) << 40) ^ static_cast<std::size_t>(rbft::raw(k.rid));
-    }
-};

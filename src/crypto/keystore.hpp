@@ -15,8 +15,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -116,10 +114,3 @@ private:
 };
 
 }  // namespace rbft::crypto
-
-template <>
-struct std::hash<rbft::crypto::Principal> {
-    std::size_t operator()(const rbft::crypto::Principal& p) const noexcept {
-        return (static_cast<std::size_t>(p.kind) << 32) ^ p.index;
-    }
-};

@@ -7,7 +7,8 @@
 // byte-identical to the serial one.  This is safe because every run is
 // instance-confined: each simulation owns its Simulator, Recorder and
 // Logger, and nothing in the runtime touches cross-run shared state (the
-// rbft_lint `det-global-singleton` rule keeps it that way).
+// TSan job runs RunSpecs.ParallelSweepIsByteIdenticalToSerial and
+// Explore.OutcomeIsIndependentOfJobCount to keep it that way).
 //
 // Failure semantics are deterministic too: every job runs to completion (or
 // failure), then the exception of the *lowest submission index* is

@@ -56,6 +56,11 @@ public:
 
     /// Size of the encoded message in bytes (headers + payload + auth).
     [[nodiscard]] virtual std::size_t wire_size() const noexcept = 0;
+
+    /// The base holds no state, so this is true for any two messages; it
+    /// exists so each concrete message can default its own operator==.
+    /// Compare concrete message types, not Message references.
+    bool operator==(const Message&) const = default;
 };
 
 using MessagePtr = std::shared_ptr<const Message>;

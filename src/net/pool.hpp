@@ -19,7 +19,9 @@
 //  * A slot is on exactly one of {free list, live} at any time.  Release
 //    runs the message destructor (via shared_ptr machinery) but retains the
 //    slot; in debug builds the slot is poison-filled (0xDD) so stale reads
-//    crash loudly instead of aliasing the next message.
+//    crash loudly instead of aliasing the next message, and under
+//    AddressSanitizer it is poisoned until its next make<T>(), so any access
+//    to a released slot is reported as a use-after-poison.
 //  * The pool core is owned jointly by the pool handle and by every
 //    allocator copy embedded in outstanding control blocks — messages may
 //    outlive the MessagePool object itself (e.g. a scenario tears down its
@@ -42,6 +44,10 @@
 #include <new>
 #include <utility>
 #include <vector>
+
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace rbft::net {
 
@@ -112,6 +118,9 @@ private:
                 void* slot = it->second.back();
                 it->second.pop_back();
                 stats.reused += 1;
+#ifdef __SANITIZE_ADDRESS__
+                ASAN_UNPOISON_MEMORY_REGION(slot, size);
+#endif
                 return slot;
             }
             if (chunk_used + size > chunk_cap) {
@@ -135,6 +144,9 @@ private:
             stats.released += 1;
 #ifndef NDEBUG
             std::memset(p, 0xDD, size);  // poison: stale reads crash loudly
+#endif
+#ifdef __SANITIZE_ADDRESS__
+            ASAN_POISON_MEMORY_REGION(p, size);
 #endif
             free_by_size[size].push_back(p);
         }

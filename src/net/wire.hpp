@@ -258,10 +258,9 @@ private:
         return v;
     }
 
-    // The reader *is* the borrow seam the lint rule protects: it never
-    // outlives the decode call (see class comment), so holding the view is
-    // the whole point.
-    BytesView data_;  // RBFT_LINT_ALLOW(borrow-escape)
+    // The reader *is* the borrow seam: it never outlives the decode call
+    // (see class comment), so holding the view is the whole point.
+    BytesView data_;
     std::size_t pos_ = 0;
     bool ok_ = true;
     WireStats stats_;

@@ -11,7 +11,7 @@ std::uint64_t wall_now_ns() noexcept {
     // real elapsed time (that is the point), but every consumer keeps these
     // numbers in a segregated "wall" block that no determinism check ever
     // byte-compares.  Everything else must use sim::Simulator::now().
-    const auto t = std::chrono::steady_clock::now().time_since_epoch();  // RBFT_LINT_ALLOW(det-wallclock)
+    const auto t = std::chrono::steady_clock::now().time_since_epoch();
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t).count());
 }

@@ -33,8 +33,8 @@
 namespace rbft::obs::prof {
 
 /// The single audited wall-clock chokepoint (see prof.cpp).  Everything
-/// wall-time in the repo must flow through here so determinism lint stays
-/// meaningful everywhere else.
+/// wall-time in the repo must flow through here; the determinism rule of
+/// tests/test_source_rules.cpp bans host clocks in the protocol layers.
 [[nodiscard]] std::uint64_t wall_now_ns() noexcept;
 
 /// Identity of one zone: full hierarchical path plus optional node/instance

@@ -31,6 +31,12 @@ public:
                net::authenticator_bytes(static_cast<std::uint32_t>(auth.macs.size()));
     }
 
+    /// Compares the embedded request by value, not by pointer.
+    bool operator==(const PropagateMsg& o) const {
+        return (request == o.request || (request && o.request && *request == *o.request)) &&
+               sender == o.sender && auth == o.auth && corrupt_mac_mask == o.corrupt_mac_mask;
+    }
+
     void encode(net::WireWriter& w) const {
         request->encode(w);
         w.u32(raw(sender));
@@ -75,6 +81,8 @@ public:
         return net::kFrameHeaderBytes + 8 + 4 +
                net::authenticator_bytes(static_cast<std::uint32_t>(auth.macs.size()));
     }
+
+    bool operator==(const InstanceChangeMsg&) const = default;
 
     void encode(net::WireWriter& w) const {
         w.u64(cpi);

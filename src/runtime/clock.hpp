@@ -1,7 +1,8 @@
 // Wall-clock abstraction for the real-node runtime.
 //
 // src/runtime is the one subsystem allowed to read the machine clock (the
-// lint det-wallclock rule exempts it); everything above it keeps speaking
+// determinism rule of tests/test_source_rules.cpp does not gate it);
+// everything above it keeps speaking
 // sim-time (TimePoint = nanoseconds since process start).  Tests inject a
 // FakeClock to make reconnect/backoff schedules and timer dispatch
 // deterministic.

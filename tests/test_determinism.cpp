@@ -2,7 +2,8 @@
 // observability exports.  This is the property every replay/shrink/chaos-twin
 // tool in the repo leans on, and the one hash-ordered iteration silently
 // breaks — which is why protocol state lives in det::map/det::set
-// (src/common/det.hpp) and rbft_lint bans unordered iteration there.
+// (src/common/det.hpp) and tests/test_source_rules.cpp bans std::unordered_*
+// there.
 //
 // The chaos-soak double-run lives in test_fault.cpp; this file covers the
 // RBFT runner and all three baseline protocols.

@@ -5,7 +5,10 @@
 // Also pins the wire format itself: for every message type in
 // bft/messages.hpp and rbft/messages.hpp, encode → decode → encode must
 // reproduce the original bytes exactly (the property the flight recorder,
-// replay artifacts and cross-node digests all rely on).
+// replay artifacts and cross-node digests all rely on), and the decoded
+// message must equal the original under its defaulted operator==.  Every
+// make_* below sets every field to a non-default value, so a field that
+// encode or decode leaves out comes back different.
 #include <gtest/gtest.h>
 
 #include "bft/messages.hpp"
@@ -35,10 +38,10 @@ Digest random_digest(Rng& rng) {
 
 RequestRef random_ref(Rng& rng) {
     RequestRef ref;
-    ref.client = ClientId{static_cast<std::uint32_t>(rng.next_below(16))};
+    ref.client = ClientId{static_cast<std::uint32_t>(1 + rng.next_below(15))};
     ref.rid = RequestId{rng.next_u64()};
     ref.digest = random_digest(rng);
-    ref.payload_bytes = static_cast<std::uint32_t>(rng.next_below(4096));
+    ref.payload_bytes = static_cast<std::uint32_t>(1 + rng.next_below(4095));
     return ref;
 }
 
@@ -54,8 +57,8 @@ RequestMsg make_request(Rng& rng) {
     m.sig = keys().sign(crypto::Principal::client(ClientId{1}), m.digest);
     m.auth = crypto::make_authenticator(keys(), crypto::Principal::client(ClientId{1}), 4,
                                         BytesView(m.digest.bytes.data(), 32));
-    m.corrupt_sig = rng.next_below(2) == 0;
-    m.corrupt_mac_mask = rng.next_below(16);
+    m.corrupt_sig = true;
+    m.corrupt_mac_mask = 1 + rng.next_below(15);
     return m;
 }
 
@@ -76,10 +79,10 @@ PrePrepareMsg make_preprepare(Rng& rng) {
     m.seq = SeqNum{3};
     for (int i = 0; i < 5; ++i) m.batch.push_back(random_ref(rng));
     m.batch_digest = random_digest(rng);
-    m.embedded_payload_bytes = rng.next_below(1 << 20);
+    m.embedded_payload_bytes = 1 + rng.next_below(1 << 20);
     m.auth = crypto::make_authenticator(keys(), crypto::Principal::node(NodeId{0}), 4,
                                         BytesView(m.batch_digest.bytes.data(), 32));
-    m.corrupt_mac_mask = rng.next_below(16);
+    m.corrupt_mac_mask = 1 + rng.next_below(15);
     return m;
 }
 
@@ -93,18 +96,18 @@ PhaseMsg make_phase(Rng& rng, PhaseMsg::Phase phase) {
     m.replica = NodeId{2};
     m.auth = crypto::make_authenticator(keys(), crypto::Principal::node(NodeId{2}), 4,
                                         BytesView(m.batch_digest.bytes.data(), 32));
-    m.corrupt_mac_mask = rng.next_below(16);
+    m.corrupt_mac_mask = 1 + rng.next_below(15);
     return m;
 }
 
 CheckpointMsg make_checkpoint(Rng& rng) {
     CheckpointMsg m;
-    m.instance = InstanceId{0};
+    m.instance = InstanceId{2};
     m.seq = SeqNum{32};
     m.state_digest = random_digest(rng);
     m.replica = NodeId{1};
     m.view = ViewId{2};
-    m.cpi = rng.next_below(8);
+    m.cpi = 1 + rng.next_below(8);
     m.executed = 31 + rng.next_below(8);
     m.auth = crypto::make_authenticator(keys(), crypto::Principal::node(NodeId{1}), 4,
                                         BytesView(m.state_digest.bytes.data(), 32));
@@ -148,12 +151,13 @@ core::PropagateMsg make_propagate(Rng& rng) {
     m.sender = NodeId{2};
     m.auth = crypto::make_authenticator(keys(), crypto::Principal::node(NodeId{2}), 4,
                                         BytesView(m.request->digest.bytes.data(), 32));
+    m.corrupt_mac_mask = 1 + rng.next_below(15);
     return m;
 }
 
 core::InstanceChangeMsg make_instance_change(Rng& rng) {
     core::InstanceChangeMsg m;
-    m.cpi = rng.next_below(32);
+    m.cpi = 1 + rng.next_below(32);
     m.sender = NodeId{1};
     Digest d = random_digest(rng);
     m.auth = crypto::make_authenticator(keys(), crypto::Principal::node(NodeId{1}), 4,
@@ -178,7 +182,8 @@ void decode_garbage(const Bytes& data) {
     (void)msg;
 }
 
-/// encode → decode → encode must be byte-identical and consume every byte.
+/// encode → decode → encode must be byte-identical and consume every byte,
+/// and decode must give back the original message, field for field.
 template <typename T>
 void expect_round_trip(const T& m, const char* what) {
     const Bytes first = encoded(m);
@@ -187,6 +192,7 @@ void expect_round_trip(const T& m, const char* what) {
     EXPECT_TRUE(reader.ok()) << what << ": decode poisoned the reader";
     EXPECT_EQ(reader.remaining(), 0u) << what << ": trailing bytes not consumed";
     EXPECT_EQ(first, encoded(decoded)) << what << ": re-encode differs";
+    EXPECT_TRUE(decoded == m) << what << ": a field did not survive encode → decode";
 }
 
 /// All strict prefixes of a valid encoding decode without crashing, and

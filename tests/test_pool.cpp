@@ -1,6 +1,7 @@
 // Message-pool property tests (src/net/pool.hpp): randomized
 // acquire/release interleavings against the pool's accounting invariants,
-// LIFO slot recycling, debug poison-fill, oversize fallback, and the
+// LIFO slot recycling, debug poison-fill, the AddressSanitizer report on a
+// read of a released slot, oversize fallback, and the
 // messages-outlive-the-pool lifetime guarantee.  The byte-identity of
 // pooled vs unpooled simulation runs is asserted separately by the
 // equivalence rig (test_equivalence.cpp).
@@ -127,11 +128,29 @@ TEST(MessagePool, ReleasePoisonFillsTheSlotInDebugBuilds) {
     m->bytes.fill(0xAB);
     const auto* raw_slot = reinterpret_cast<const unsigned char*>(m.get());
     m.reset();
+#ifdef __SANITIZE_ADDRESS__
+    // The released slot is ASan-poisoned; lift that to look at its bytes.
+    ASAN_UNPOISON_MEMORY_REGION(raw_slot, sizeof(Slab));
+#endif
     // The slot memory is still owned by the pool's arena chunk; released
     // bytes must carry the 0xDD poison pattern so stale readers trip.
     for (std::size_t i = 0; i < sizeof(Slab); ++i) {
         ASSERT_EQ(raw_slot[i], 0xDD) << "offset " << i;
     }
+}
+#endif
+
+#ifdef __SANITIZE_ADDRESS__
+TEST(MessagePoolDeathTest, ReadOfAReleasedSlotIsAnAsanReport) {
+    MessagePool pool;
+    auto m = pool.make<Slab>();
+    const volatile std::uint64_t* stale = &m->tag;  // outlives the reference count
+    m.reset();
+    EXPECT_DEATH((void)*stale, "use-after-poison");
+    // The next make<T>() of the size class takes the slot back legitimately.
+    auto again = pool.make<Slab>();
+    EXPECT_EQ(&again->tag, const_cast<const std::uint64_t*>(stale));
+    EXPECT_EQ(again->tag, 0u);
 }
 #endif
 

@@ -470,22 +470,29 @@ TEST(Fabric, TwoNodeExchangeOverLoopback) {
         inbox1.emplace_back(from, m);
     });
 
-    auto ic = std::make_shared<core::InstanceChangeMsg>();
-    ic->cpi = 9;
-    ic->sender = NodeId{0};
-    f0.send(net::Address::node(NodeId{0}), net::Address::node(NodeId{1}), ic);
+    // Two frames, so state a frame handler keeps from one frame to the next
+    // (say, a view of the previous payload) is exercised; under ASan a read
+    // through such a view is a heap-use-after-free.
+    for (std::uint64_t cpi : {9u, 10u}) {
+        auto ic = std::make_shared<core::InstanceChangeMsg>();
+        ic->cpi = cpi;
+        ic->sender = NodeId{0};
+        f0.send(net::Address::node(NodeId{0}), net::Address::node(NodeId{1}), ic);
+    }
 
     WallClockExecutor e0(clock0, sim0, t0);
     WallClockExecutor e1(clock1, sim1, t1);
-    for (int i = 0; i < 2000 && inbox1.empty(); ++i) {
+    for (int i = 0; i < 2000 && inbox1.size() < 2; ++i) {
         e0.step(milliseconds(1.0));
         e1.step(milliseconds(1.0));
     }
-    ASSERT_EQ(inbox1.size(), 1u);
-    EXPECT_EQ(inbox1[0].first, net::Address::node(NodeId{0}));
-    ASSERT_EQ(inbox1[0].second->type(), net::MsgType::kInstanceChange);
-    EXPECT_EQ(static_cast<const core::InstanceChangeMsg&>(*inbox1[0].second).cpi, 9u);
-    EXPECT_EQ(f1.stats().envelopes_delivered, 1u);
+    ASSERT_EQ(inbox1.size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k) {
+        EXPECT_EQ(inbox1[k].first, net::Address::node(NodeId{0}));
+        ASSERT_EQ(inbox1[k].second->type(), net::MsgType::kInstanceChange);
+        EXPECT_EQ(static_cast<const core::InstanceChangeMsg&>(*inbox1[k].second).cpi, 9u + k);
+    }
+    EXPECT_EQ(f1.stats().envelopes_delivered, 2u);
 }
 
 TEST(Fabric, SelfDeliveryShortCircuitsTheWire) {
