@@ -9,7 +9,7 @@
 // registers one google-benchmark entry per point (Iterations(1)) to report
 // the counters, prints the paper-style table, and writes a machine-readable
 // BENCH_<name>.json artifact ($RBFT_BENCH_DIR or the working directory).
-// `--backend merged|speculative` re-runs every RBFT scenario of the bench
+// `--backend merged` re-runs every RBFT scenario of the bench
 // under that execution backend (suffixing the artifact name), so each paper
 // figure can be re-swept per backend without a dedicated binary.
 //
@@ -73,9 +73,9 @@ public:
 
     /// Executes all points and reports.  Returns the process exit code.
     int run(int argc, char** argv) {
-        // `--backend merged|speculative|master-only` re-sweeps every RBFT
-        // scenario of this bench under that execution backend (registry
-        // names from src/protocols; baseline-protocol specs are untouched).
+        // `--backend merged|master-only` re-sweeps every RBFT scenario of
+        // this bench under that execution backend (bft::parse_backend
+        // names; baseline-protocol specs are untouched).
         // The artifact name gains a `_<backend>` suffix so sweeps never
         // clobber the master-only baseline JSON.
         bool backend_ok = true;
@@ -175,7 +175,7 @@ private:
             if (!backend) {
                 std::fprintf(stderr,
                              "bench: unknown --backend %s "
-                             "(want master-only, merged or speculative)\n",
+                             "(want master-only or merged)\n",
                              value.c_str());
                 ok = false;
             }

@@ -145,17 +145,17 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Master degradation (pointed at the speculative backend).
+// Master degradation (drives an instance change under either backend).
 
 struct MasterDegradationConfig {
     /// Flat spacing between the malicious master primary's batches.  Unlike
     /// worst-attack-2 this is open-loop and well below Δ on purpose: the
     /// point is to *get caught* so the run exercises the instance-change
-    /// path while the speculative backend has in-flight speculation — the
-    /// conflict-escalation case the conformance rig must cover.
+    /// path with batches in flight — under merged execution the merge must
+    /// carry on across the master primary's replacement.
     Duration inter_batch_gap = milliseconds(3.0);
     /// Extra delay before each PRE_PREPARE goes out, widening the window in
-    /// which a batch is speculated but not yet committed.
+    /// which a master batch is proposed but not yet committed.
     Duration preprepare_delay = milliseconds(1.0);
     std::uint32_t batch_cap = 8;
 };

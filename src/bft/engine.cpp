@@ -385,7 +385,6 @@ void InstanceEngine::accept_pre_prepare(const PrePrepareMsg& m) {
         broadcast_phase(s, m.seq, PhaseMsg::Phase::kPrepare);
     }
     try_prepare(m.seq);
-    if (config_.speculative_execution) maybe_speculate();
 }
 
 void InstanceEngine::handle_phase(NodeId from, const PhaseMsg& m) {
@@ -419,7 +418,6 @@ void InstanceEngine::handle_phase(NodeId from, const PhaseMsg& m) {
 
     if (is_prepare) {
         try_prepare(m.seq);
-        if (config_.speculative_execution) maybe_speculate();
     } else {
         try_commit(m.seq);
     }
@@ -520,42 +518,6 @@ void InstanceEngine::try_deliver() {
     if (view_ != entry_view) wake_view();
     for (const RequestKey& key : woken) wake_request(key);
     maybe_send_batch();
-}
-
-void InstanceEngine::maybe_speculate() {
-    if (!config_.speculative_execution || silent_replica_) return;
-    while (true) {
-        if (raw(next_speculate_) < raw(next_deliver_)) {
-            // Committed delivery outran speculation (e.g. state transfer):
-            // those slots executed authoritatively, nothing to speculate.
-            next_speculate_ = next_deliver_;
-            continue;
-        }
-        auto it = slots_.find(raw(next_speculate_));
-        if (it == slots_.end()) return;
-        Slot& s = it->second;
-        if (!s.delivered && !s.speculated) {
-            // Speculation stays in sequence order: a gap (no PRE-PREPARE or
-            // a thin PREPARE set) holds everything behind it, exactly like
-            // committed delivery does.
-            if (!s.pre_prepare.has_value() ||
-                s.prepares.size() < speculative_quorum(config_.f)) {
-                return;
-            }
-            s.speculated = true;
-            OrderedBatch batch;
-            batch.instance = config_.instance;
-            batch.view = s.pre_prepare->view;
-            batch.seq = next_speculate_;
-            batch.requests = s.pre_prepare->batch;
-            if (recorder_->observing()) {
-                trace(obs::EventType::kBatchSpeculated, raw(batch.seq),
-                      fingerprint_refs(batch.requests), raw(batch.view));
-            }
-            host_.engine_speculative(batch);
-        }
-        next_speculate_ = next(next_speculate_);
-    }
 }
 
 void InstanceEngine::hold(const PrePrepareMsg& m, std::optional<RequestKey> lacks) {

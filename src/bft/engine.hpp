@@ -116,14 +116,6 @@ struct EngineConfig {
 
     /// Planted correctness faults for oracle tests (defaults = correct).
     EngineTestFaults test_faults{};
-
-    /// hBFT-style speculation: emit each batch to the host (in sequence
-    /// order, via EngineHost::engine_speculative) as soon as it is backed by
-    /// a PRE-PREPARE plus speculative_quorum(f) PREPAREs, without waiting
-    /// for the COMMIT quorum.  Committed delivery is unchanged — the host's
-    /// ExecutionPolicy decides what speculation means.  Off (default) is
-    /// byte-identical to an engine without the hook.
-    bool speculative_execution = false;
 };
 
 /// Byzantine-primary levers used by the attack experiments.  A correct
@@ -158,13 +150,6 @@ public:
 
     /// An ordered batch is handed back to the node, in sequence order.
     virtual void engine_ordered(const OrderedBatch& batch) = 0;
-
-    /// A speculatively prepared batch (2f+1 PREPAREs, no COMMIT quorum yet)
-    /// is offered to the node, in sequence order.  Only emitted when
-    /// EngineConfig::speculative_execution is set; the same batch is later
-    /// handed to engine_ordered once it commits (or a conflicting batch is,
-    /// after a view change voided the speculation).
-    virtual void engine_speculative(const OrderedBatch& batch) { (void)batch; }
 
     /// A request may be prepared only once the node cleared it (for RBFT:
     /// f+1 PROPAGATEs received, §IV-B step 4).  Baselines return true.
@@ -282,7 +267,6 @@ private:
         bool sent_commit = false;
         bool committed = false;
         bool delivered = false;
-        bool speculated = false;  // emitted via engine_speculative (speculative mode)
     };
 
     // Message handlers (run on the replica core after verification cost).
@@ -305,7 +289,6 @@ private:
     void try_prepare(SeqNum seq);
     void try_commit(SeqNum seq);
     void try_deliver();
-    void maybe_speculate();
     void accept_pre_prepare(const PrePrepareMsg& m);
     /// Holds `m` until `lacks` is submitted or ordered, or (none) until the
     /// view reaches m.view.  The same (view, seq, digest) is held once.
@@ -373,7 +356,6 @@ private:
     ViewId view_{};
     SeqNum next_seq_{SeqNum{1}};   // next seq this primary assigns
     SeqNum next_deliver_{SeqNum{1}};
-    SeqNum next_speculate_{SeqNum{1}};  // speculation cursor (speculative mode)
     SeqNum last_stable_{SeqNum{0}};
 
     std::map<std::uint64_t, Slot> slots_;  // keyed by raw seq, ordered

@@ -1,49 +1,41 @@
-// The ordering→execution seam: a pluggable policy deciding which committed
-// (or speculatively prepared) per-instance orders reach the Execution
-// module, decoupled from the per-instance three-phase ordering itself.
+// The ordering→execution backends: which committed per-instance orders
+// reach the Execution module.
 //
 // RBFT as published executes only the master instance's committed batches —
 // the f+1 redundant orderings exist purely so the monitoring layer can
-// police the master.  Post-2013 work shows the same architecture supports
-// richer execution disciplines: RCC-style parallel leaders (execute a
-// deterministic merge of *all* instances' committed orders) and hBFT-style
-// speculation (execute on a 2f+1-PREPARE quorum, falling back to the full
-// three-phase path on conflict).  The ExecutionPolicy interface captures
-// exactly the decision points those variants differ on; the hosting node
-// keeps all mechanism (CPU accounting, reply caching, monitoring inputs)
-// and exposes it through ExecutionSink.
+// police the master.  The merged backend (FnF / RCC style, post-2013)
+// executes a deterministic merge of the lowest merge_width(f) instances'
+// committed orders instead.  The node picks one of the two from
+// ExecutionBackend and acts on it directly (rbft::core::Node::engine_ordered);
+// this header holds the selector and the merge it drives.
 //
-// Layering: this header sits in src/bft next to the engine because the
-// policy hooks are called from the node's EngineHost callbacks; concrete
-// non-paper backends (merged, speculative) live in src/protocols/execution
-// and are injected via ExecutionPolicyFactory, so src/rbft never depends on
-// src/protocols.
+// Layering: this header sits in src/bft next to the engine and depends only
+// on bft and common, so src/rbft can hold a DeterministicMerge without
+// reaching into src/protocols.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <deque>
 #include <optional>
 #include <string_view>
 #include <vector>
 
 #include "bft/messages.hpp"
+#include "common/request_key_set.hpp"
 #include "common/types.hpp"
 
 namespace rbft::bft {
 
 /// Selector for the ordering→execution backend (registry + --backend flag).
 enum class ExecutionBackend : std::uint32_t {
-    kMasterOnly = 0,   // the paper's RBFT: execute master-instance commits
-    kMerged = 1,       // parallel-leader: merge all f+1 committed orders
-    kSpeculative = 2,  // hBFT-style: execute on 2f+1 PREPAREs, escalate on conflict
+    kMasterOnly = 0,  // the paper's RBFT: execute master-instance commits
+    kMerged = 1,      // parallel-leader: merge all f+1 committed orders
 };
 
 [[nodiscard]] constexpr const char* backend_name(ExecutionBackend b) noexcept {
     switch (b) {
         case ExecutionBackend::kMasterOnly: return "master-only";
         case ExecutionBackend::kMerged: return "merged";
-        case ExecutionBackend::kSpeculative: return "speculative";
     }
     return "?";
 }
@@ -51,13 +43,12 @@ enum class ExecutionBackend : std::uint32_t {
 [[nodiscard]] inline std::optional<ExecutionBackend> parse_backend(std::string_view name) {
     if (name == "master-only" || name == "rbft") return ExecutionBackend::kMasterOnly;
     if (name == "merged") return ExecutionBackend::kMerged;
-    if (name == "speculative") return ExecutionBackend::kSpeculative;
     return std::nullopt;
 }
 
 /// FNV-1a over the request identities of a batch: the content fingerprint
-/// used by the commit safety log, the agreement oracle and the speculation
-/// conflict detector (one formula, defined once).
+/// used by the commit safety log and the agreement oracle (one formula,
+/// defined once).
 inline constexpr std::uint64_t kFingerprintSeed = 1469598103934665603ULL;
 inline constexpr std::uint64_t kFingerprintPrime = 1099511628211ULL;
 
@@ -74,86 +65,52 @@ inline constexpr std::uint64_t kFingerprintPrime = 1099511628211ULL;
     return h;
 }
 
-/// Node-side services an ExecutionPolicy drives.  The node owns all
-/// mechanism: sink_execute charges the Execution core, dedupes re-executions
-/// and replies to the client; sink_log_commit appends to the cross-node
-/// safety log; sink_conflict feeds the instance-change machinery (the
-/// speculation conflict detector).
-class ExecutionSink {
+/// The merged backend's deterministic merge.  Every instance's committed
+/// order is one input stream; push() appends one committed request to an
+/// instance's stream; drain() emits the front of each stream in round-robin
+/// instance order, skipping requests already emitted by another stream (a
+/// request is ordered by *every* instance), and stalls (without advancing
+/// the cursor) when the current stream has nothing new — lock-step fairness
+/// across the parallel leaders.  Because the merge is a pure function of the
+/// per-instance committed sequences, every correct node that commits the
+/// same per-instance orders executes the same merged order, regardless of
+/// the real-time interleaving in which batches locally committed
+/// (tests/test_backends.cpp asserts permutation stability).
+class DeterministicMerge {
 public:
-    virtual ~ExecutionSink() = default;
+    explicit DeterministicMerge(std::uint32_t width) : queues_(width) {}
 
-    /// Executes one request (idempotent: already-executed keys are dropped).
-    virtual void sink_execute(const RequestRef& ref) = 0;
-
-    /// Appends (seq, fingerprint) to the node's commit safety log.
-    virtual void sink_log_commit(std::uint64_t seq, std::uint64_t fingerprint) = 0;
-
-    /// A committed batch contradicted earlier speculation; the node reuses
-    /// the instance-change/monitoring machinery as the conflict handler.
-    virtual void sink_conflict(const OrderedBatch& committed) = 0;
-
-    [[nodiscard]] virtual InstanceId sink_master_instance() const = 0;
-};
-
-/// Strategy for turning per-instance ordering events into execution.  The
-/// node calls the hooks in a fixed pattern for every committed batch:
-///
-///   on_batch_committed(batch)            once, before any per-request work
-///   on_ref_committed(batch, ref)         once per request, after latency
-///                                        bookkeeping for that request
-///   after_batch(batch)                   once, after the request loop
-///
-/// plus on_batch_speculative(batch) for every speculative delivery when
-/// wants_speculation() is true.  One policy instance serves one node and is
-/// recreated on restart (its state is volatile, like the rest of the node).
-class ExecutionPolicy {
-public:
-    virtual ~ExecutionPolicy() = default;
-
-    [[nodiscard]] virtual const char* name() const noexcept = 0;
-
-    /// True ⇒ the node's master-instance engine emits speculative batches
-    /// at speculative_quorum(f) PREPAREs (EngineConfig::speculative_execution).
-    [[nodiscard]] virtual bool wants_speculation() const noexcept { return false; }
-
-    virtual void on_batch_committed(const OrderedBatch& batch, ExecutionSink& sink) = 0;
-    virtual void on_ref_committed(const OrderedBatch& batch, const RequestRef& ref,
-                                  ExecutionSink& sink) = 0;
-    virtual void after_batch(const OrderedBatch& batch, ExecutionSink& sink) {
-        (void)batch;
-        (void)sink;
+    [[nodiscard]] std::uint32_t width() const noexcept {
+        return static_cast<std::uint32_t>(queues_.size());
     }
-    virtual void on_batch_speculative(const OrderedBatch& batch, ExecutionSink& sink) {
-        (void)batch;
-        (void)sink;
+
+    void push(std::uint32_t instance, const RequestRef& ref) {
+        queues_.at(instance).push_back(ref);
     }
-};
 
-/// The paper's behavior: master-instance batches go to execution, everything
-/// else only feeds monitoring.  This is the default policy and is
-/// byte-identical to the pre-seam RBFT node (the equivalence rig holds it to
-/// that).
-class MasterOnlyExecution final : public ExecutionPolicy {
-public:
-    [[nodiscard]] const char* name() const noexcept override { return "master-only"; }
-
-    void on_batch_committed(const OrderedBatch& batch, ExecutionSink& sink) override {
-        if (batch.instance == sink.sink_master_instance()) {
-            sink.sink_log_commit(raw(batch.seq), fingerprint_refs(batch.requests));
+    /// Emits every request that is now determined, oldest first.
+    template <typename Emit>
+    void drain(Emit&& emit) {
+        while (true) {
+            auto& q = queues_[cursor_];
+            // Requests another stream already emitted are spent; drop them
+            // without consuming this stream's round-robin turn.
+            while (!q.empty() && emitted_.contains(q.front().key())) q.pop_front();
+            if (q.empty()) return;  // stall until this instance commits more
+            emitted_.insert(q.front().key());
+            emit(q.front());
+            q.pop_front();
+            cursor_ = (cursor_ + 1) % static_cast<std::uint32_t>(queues_.size());
         }
     }
 
-    void on_ref_committed(const OrderedBatch& batch, const RequestRef& ref,
-                          ExecutionSink& sink) override {
-        if (batch.instance == sink.sink_master_instance()) sink.sink_execute(ref);
-    }
-};
+    /// Requests emitted so far (the oracle test checks duplicate-freedom).
+    [[nodiscard]] std::uint64_t emitted_count() const noexcept { return emitted_.size(); }
 
-/// Builds the per-node policy; receives the node's f and its instance count
-/// (which the ablation benches override away from f+1).  A null factory
-/// means MasterOnlyExecution.
-using ExecutionPolicyFactory =
-    std::function<std::unique_ptr<ExecutionPolicy>(std::uint32_t f, std::uint32_t instances)>;
+private:
+    std::vector<std::deque<RequestRef>> queues_;
+    RequestKeySet emitted_;
+    std::uint32_t cursor_ = 0;
+};
 
 }  // namespace rbft::bft

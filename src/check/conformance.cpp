@@ -74,7 +74,7 @@ ProtocolExecution run_contender(const protocols::ProtocolEntry& entry,
             cfg.f = scenario.f;
             cfg.seed = scenario.seed;
             cfg.engine_test_faults.equivocate_mask = scenario.equivocate_mask;
-            protocols::apply_backend(cfg, entry.backend);
+            cfg.backend = entry.backend;
             core::Cluster cluster(cfg);
             std::unique_ptr<attacks::MasterDegradation> degrade;
             if (scenario.master_degradation) {

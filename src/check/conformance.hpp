@@ -10,7 +10,7 @@
 // backend registered there automatically becomes a conformance contender.
 // Attack knobs (equivocation, master degradation) apply to the RBFT family
 // only and automatically restrict the run to it — the comparison is then
-// "merged/speculative commit the same request set as master-only RBFT even
+// "merged execution commits the same request set as master-only RBFT even
 // under attack".
 #pragma once
 
@@ -41,8 +41,8 @@ struct ConformanceScenario {
     /// Plant equivocating master engines at the masked nodes (RBFT family
     /// only; selecting it drops the baselines from the run).
     std::uint64_t equivocate_mask = 0;
-    /// Degrade the master primary (attacks::MasterDegradation — the
-    /// anti-speculation attack; RBFT family only, drops the baselines).
+    /// Degrade the master primary until monitoring replaces it
+    /// (attacks::MasterDegradation; RBFT family only, drops the baselines).
     bool master_degradation = false;
 
     [[nodiscard]] bool attacked() const noexcept {

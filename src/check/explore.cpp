@@ -8,7 +8,6 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "obs/recorder.hpp"
-#include "protocols/registry.hpp"
 #include "rbft/cluster.hpp"
 #include "workload/client.hpp"
 
@@ -133,7 +132,7 @@ ScheduleResult run_schedule(const ExploreScenario& scenario, std::uint64_t seed,
     cfg.checkpoint_interval = scenario.checkpoint_interval;
     cfg.engine_retry_interval = scenario.engine_retry_interval;
     cfg.engine_test_faults = scenario.test_faults;
-    protocols::apply_backend(cfg, scenario.backend);
+    cfg.backend = scenario.backend;
 
     obs::Recorder recorder;
     cfg.recorder = &recorder;

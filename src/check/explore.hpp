@@ -70,8 +70,8 @@ struct ExploreScenario {
     /// Planted engine bugs (oracle acceptance tests); correct by default.
     bft::EngineTestFaults test_faults{};
     /// Ordering→execution backend to explore (the oracles consume
-    /// per-instance ordering events upstream of the execution policy, so
-    /// they apply unchanged to every backend).
+    /// per-instance ordering events upstream of execution, so they apply
+    /// unchanged to both backends).
     bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
     bool check_monitoring = true;
 };

@@ -2,7 +2,6 @@
 
 #include "common/det.hpp"
 #include "fault/injector.hpp"
-#include "protocols/registry.hpp"
 #include "rbft/cluster.hpp"
 
 namespace rbft::exp {
@@ -18,7 +17,7 @@ ChaosSoakOutput run_one(const ChaosSoakScenario& scenario, const fault::FaultPla
     cfg.pooled_messages = scenario.pooled_messages;
     cfg.checkpoint_interval = scenario.checkpoint_interval;
     cfg.engine_retry_interval = scenario.engine_retry_interval;
-    protocols::apply_backend(cfg, scenario.backend);
+    cfg.backend = scenario.backend;
 
     auto recorder = scenario.recorder ? scenario.recorder : std::make_shared<obs::Recorder>();
     cfg.recorder = recorder.get();

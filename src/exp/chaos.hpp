@@ -51,7 +51,7 @@ struct ChaosSoakScenario {
     /// Small checkpoint interval so recovering replicas catch up quickly.
     std::uint64_t checkpoint_interval = 32;
     /// Ordering→execution backend under soak (the commit-log safety check
-    /// is backend-invariant: all backends keep a master-anchored log).
+    /// is backend-invariant: both backends keep a master-anchored log).
     bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
     /// Liveness bound: tail throughput must recover to within this factor
     /// of the fault-free twin (tail * factor >= baseline).

@@ -8,7 +8,6 @@
 
 #include "attacks/attacks.hpp"
 #include "protocols/clusters.hpp"
-#include "protocols/registry.hpp"
 #include "workload/load.hpp"
 
 namespace rbft::exp {
@@ -132,7 +131,7 @@ ScenarioOutput run_rbft(const RbftScenario& scenario) {
     cfg.order_full_requests = scenario.order_full_requests;
     cfg.monitoring.delta = scenario.delta;
     cfg.instances_override = scenario.instances_override;
-    protocols::apply_backend(cfg, scenario.backend);
+    cfg.backend = scenario.backend;
 
     auto recorder = make_run_recorder(scenario.recorder);
     cfg.recorder = recorder.get();

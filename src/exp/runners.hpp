@@ -75,8 +75,8 @@ struct RbftScenario {
     /// 0 = saturated (static) or capacity-derived per-client rate (dynamic).
     double rate = 0.0;
     enum class Attack { kNone, kWorst1, kWorst2 } attack = Attack::kNone;
-    /// Ordering→execution backend (protocols::apply_backend is applied to
-    /// the cluster config; master-only = the paper's RBFT).
+    /// Ordering→execution backend (copied into the cluster config;
+    /// master-only = the paper's RBFT).
     bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
     std::uint64_t seed = 42;
     std::uint32_t clients = 20;

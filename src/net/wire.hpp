@@ -7,13 +7,11 @@
 // encode()/decode() serialize the full simulation state — round-trip tests
 // assert field fidelity.
 //
-// The writer is flat and single-pass with three backing modes:
-//   WireWriter w;              // owns a fresh buffer (tests, one-shot paths)
-//   WireWriter w(scratch);     // reuses `scratch`'s capacity — the hot path;
-//                              // steady-state encodes perform zero allocations
+// The writer is flat and single-pass with two backing modes:
+//   WireWriter w;              // owns a fresh buffer
 //   WireWriter w(hasher);      // streams fields into an incremental SHA-256
 //                              // and materializes no buffer at all
-// The third mode is what signed_digest()-style paths use: they only ever
+// The second mode is what signed_digest()-style paths use: they only ever
 // digested the buffer, so the buffer (and its alloc + copy) was pure waste.
 #pragma once
 
@@ -46,27 +44,18 @@ struct WireStats {
 
 class WireWriter {
 public:
-    /// Owns its buffer; every encode allocates.  Prefer the reuse form on
-    /// hot paths.
-    WireWriter() noexcept : out_(&owned_) {}
-
-    /// Appends into `buffer`, reusing its capacity: after warm-up, encodes
-    /// through the same scratch buffer never allocate.  The buffer's size is
-    /// only valid after buffer()/take() or the writer's destruction — fields
-    /// are laid down through a raw cursor and the vector is trimmed lazily.
-    explicit WireWriter(Bytes& buffer) noexcept : out_(&buffer) {}
+    /// Owns its buffer; every encode allocates.  Fields are laid down
+    /// through a raw cursor and the buffer is trimmed lazily by
+    /// buffer()/take().
+    WireWriter() noexcept = default;
 
     /// Streaming-digest sink: fields feed `hasher` directly and no byte
     /// buffer exists.  buffer()/take() are invalid in this mode; size()
     /// reports bytes streamed.
-    explicit WireWriter(crypto::Sha256& hasher) noexcept : out_(&owned_), sink_(&hasher) {}
+    explicit WireWriter(crypto::Sha256& hasher) noexcept : sink_(&hasher) {}
 
     WireWriter(const WireWriter&) = delete;
     WireWriter& operator=(const WireWriter&) = delete;
-
-    ~WireWriter() {
-        if (sink_ == nullptr) out_->resize(len_);  // shrink-only: never throws
-    }
 
     void u8(std::uint8_t v) { append(&v, 1); }
     void u16(std::uint16_t v) { put_le(v); }
@@ -83,12 +72,12 @@ public:
     void digest(const Digest& d) { append(d.bytes.data(), d.bytes.size()); }
 
     [[nodiscard]] const Bytes& buffer() const noexcept {
-        out_->resize(len_);  // shrink-only: extent never falls below len_
-        return *out_;
+        owned_.resize(len_);  // shrink-only: extent never falls below len_
+        return owned_;
     }
     [[nodiscard]] Bytes take() noexcept {
-        out_->resize(len_);
-        Bytes moved = std::move(*out_);
+        owned_.resize(len_);
+        Bytes moved = std::move(owned_);
         len_ = 0;
         return moved;
     }
@@ -110,22 +99,22 @@ private:
         // The vector's size is a writable extent kept at capacity; `len_`
         // is the write cursor.  The warm path is one branch + memcpy with
         // no per-field vector bookkeeping.
-        if (len_ + n > out_->size()) grow(n);
-        std::memcpy(out_->data() + len_, p, n);
+        if (len_ + n > owned_.size()) grow(n);
+        std::memcpy(owned_.data() + len_, p, n);
         len_ += n;
     }
 
     void grow(std::size_t n) {
         const std::size_t need = len_ + n;
-        if (need > out_->capacity()) {
+        if (need > owned_.capacity()) {
             stats_.allocs += 1;
             stats_.bytes_copied += len_;  // growth relocates the live prefix
         }
-        std::size_t target = out_->capacity();
+        std::size_t target = owned_.capacity();
         if (need > target) {
             target = std::max(target * 2, std::max(need, std::size_t{64}));
         }
-        out_->resize(target);  // value-init of the tail happens once per growth
+        owned_.resize(target);  // value-init of the tail happens once per growth
     }
 
     template <typename T>
@@ -142,8 +131,8 @@ private:
         append(le, sizeof(T));
     }
 
-    Bytes* out_;
-    Bytes owned_;
+    // mutable: buffer() trims the writable extent (see append()) to len_.
+    mutable Bytes owned_;
     std::size_t len_ = 0;
     crypto::Sha256* sink_ = nullptr;
     std::size_t streamed_ = 0;

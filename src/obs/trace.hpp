@@ -30,7 +30,6 @@ enum class EventType : std::uint8_t {
     kCommitted,           // a = seq, b = view
     kBatchDelivered,      // a = seq, b = requests in batch, x = order latency (s)
     kBatchFingerprint,    // a = seq, b = FNV-1a over the batch's (client, rid) pairs, x = view
-    kBatchSpeculated,     // a = seq, b = batch fingerprint, x = view (speculative mode)
     kCheckpointStable,    // a = stable seq, b = checkpoint votes held
     kStateTransfer,       // a = first skipped seq, b = adopted checkpoint, x = held PPs skipped
     // View / protocol-instance management.
@@ -84,7 +83,6 @@ enum : std::uint64_t {
         case EventType::kCommitted: return "committed";
         case EventType::kBatchDelivered: return "batch_delivered";
         case EventType::kBatchFingerprint: return "batch_fingerprint";
-        case EventType::kBatchSpeculated: return "batch_speculated";
         case EventType::kCheckpointStable: return "checkpoint_stable";
         case EventType::kStateTransfer: return "state_transfer";
         case EventType::kViewChangeStart: return "view_change_start";

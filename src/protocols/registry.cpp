@@ -1,15 +1,11 @@
 #include "protocols/registry.hpp"
 
-#include "protocols/execution/merged.hpp"
-#include "protocols/execution/speculative.hpp"
-
 namespace rbft::protocols {
 
 const std::vector<ProtocolEntry>& protocol_registry() {
     static const std::vector<ProtocolEntry> kRegistry = {
         {"rbft", Family::kRbft, bft::ExecutionBackend::kMasterOnly},
         {"rbft-merged", Family::kRbft, bft::ExecutionBackend::kMerged},
-        {"rbft-speculative", Family::kRbft, bft::ExecutionBackend::kSpeculative},
         {"aardvark", Family::kAardvark},
         {"spinning", Family::kSpinning},
         {"prime", Family::kPrime},
@@ -22,28 +18,6 @@ std::optional<ProtocolEntry> find_protocol(std::string_view name) {
         if (name == entry.name) return entry;
     }
     return std::nullopt;
-}
-
-bft::ExecutionPolicyFactory make_execution_policy(bft::ExecutionBackend backend) {
-    switch (backend) {
-        case bft::ExecutionBackend::kMasterOnly:
-            return nullptr;  // null = MasterOnlyExecution, the seed-identical path
-        case bft::ExecutionBackend::kMerged:
-            return [](std::uint32_t f, std::uint32_t instances) {
-                return std::make_unique<MergedExecution>(f, instances);
-            };
-        case bft::ExecutionBackend::kSpeculative:
-            return [](std::uint32_t, std::uint32_t) {
-                return std::make_unique<SpeculativeExecution>();
-            };
-    }
-    return nullptr;
-}
-
-void apply_backend(core::ClusterConfig& config, bft::ExecutionBackend backend) {
-    config.execution_policy = make_execution_policy(backend);
-    config.pipeline_lanes =
-        backend == bft::ExecutionBackend::kMerged ? merge_width(config.f) : 1;
 }
 
 }  // namespace rbft::protocols

@@ -8,7 +8,8 @@
 //  - the protocol family (RBFT vs the Aardvark / Spinning / Prime
 //    baselines), and
 //  - for the RBFT family, the ordering→execution backend
-//    (master-only / merged / speculative, src/protocols/execution).
+//    (master-only / merged, bft/execution.hpp), which each caller copies into
+//    core::ClusterConfig::backend.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "bft/execution.hpp"
-#include "rbft/cluster.hpp"
 
 namespace rbft::protocols {
 
@@ -37,15 +37,5 @@ struct ProtocolEntry {
 [[nodiscard]] const std::vector<ProtocolEntry>& protocol_registry();
 
 [[nodiscard]] std::optional<ProtocolEntry> find_protocol(std::string_view name);
-
-/// Factory for the given backend's per-node ExecutionPolicy.  Null factory
-/// for kMasterOnly: NodeConfig treats null as the paper's policy, keeping
-/// the default path byte-identical to the seed.
-[[nodiscard]] bft::ExecutionPolicyFactory make_execution_policy(bft::ExecutionBackend backend);
-
-/// Applies a backend to a cluster config: installs the policy factory and,
-/// for merged mode, widens the client-facing pipeline to merge_width(f) so
-/// the extra execution capacity is actually reachable.
-void apply_backend(core::ClusterConfig& config, bft::ExecutionBackend backend);
 
 }  // namespace rbft::protocols

@@ -29,8 +29,7 @@ Cluster::Cluster(ClusterConfig config, ServiceFactory service_factory)
         nc.flood_defense = config_.flood_defense;
         nc.instances_override = config_.instances_override;
         nc.engine_test_faults = config_.engine_test_faults;
-        nc.execution_policy = config_.execution_policy;
-        nc.pipeline_lanes = config_.pipeline_lanes;
+        nc.backend = config_.backend;
         nc.recorder = recorder_;
         nc.message_pool = pool_.get();
         nodes_.push_back(std::make_unique<Node>(nc, simulator_, *network_, keys_,

@@ -46,13 +46,8 @@ struct ClusterConfig {
     std::uint32_t instances_override = 0;
     /// Planted engine faults for oracle tests (defaults = correct engines).
     bft::EngineTestFaults engine_test_faults{};
-    /// Ordering→execution backend factory applied to every node; null = the
-    /// paper's master-only policy.  Use protocols::apply_backend() to select
-    /// a registered backend by name/enum.
-    bft::ExecutionPolicyFactory execution_policy;
-    /// Client-facing pipeline lanes per node (see NodeConfig::pipeline_lanes;
-    /// 1 = the paper's single-lane layout).
-    std::uint32_t pipeline_lanes = 1;
+    /// Ordering→execution backend of every node (see NodeConfig::backend).
+    bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
     /// Metrics registry and flight recorder shared by the simulator, network
     /// and every node (must outlive the cluster); null = the cluster's own.
     obs::Recorder* recorder = nullptr;

@@ -29,8 +29,7 @@ Node::Node(NodeConfig config, sim::Simulator& simulator, net::Fabric& network,
     assert(config_.n <= kMaxNodes && "RequestState::propagated_by is a 64-bit NodeId mask");
     const std::uint32_t instances = config_.instance_count();
     assert(instances < 64 && "RequestState::ordered_by is a 64-bit InstanceId mask");
-    policy_ = config_.execution_policy ? config_.execution_policy(config_.f, instances)
-                                       : std::make_unique<bft::MasterOnlyExecution>();
+    reset_merge();
     lanes_ = config_.effective_lanes();
     make_engines(/*recovering=*/false);
     ordered_counters_.resize(instances);
@@ -77,9 +76,6 @@ void Node::make_engines(bool recovering) {
         ec.recorder = config_.recorder;
         ec.message_pool = config_.message_pool;
         ec.test_faults = config_.engine_test_faults;
-        // Only the master instance speculates: backups exist to police the
-        // master, and their speculative deliveries would be dead weight.
-        ec.speculative_execution = policy_->wants_speculation() && i == 0;
         engines_.push_back(std::make_unique<bft::InstanceEngine>(
             ec, simulator_, replica_core(InstanceId{i}), keys_, costs_, *this));
     }
@@ -124,11 +120,8 @@ void Node::restart() {
     if (!crashed_) return;
     for (auto& engine : engines_) retired_engines_.push_back(std::move(engine));
     engines_.clear();
-    // The execution policy's state is volatile, like the engines': rebuild it
-    // before the engines so the new master engine sees its speculation flag.
-    policy_ = config_.execution_policy
-                  ? config_.execution_policy(config_.f, config_.instance_count())
-                  : std::make_unique<bft::MasterOnlyExecution>();
+    // The merge's state is volatile, like the engines'.
+    reset_merge();
     make_engines(/*recovering=*/true);
 
     // Volatile protocol state did not survive the crash.  The node rejoins
@@ -553,12 +546,13 @@ void Node::engine_ordered(const bft::OrderedBatch& batch) {
     const std::uint32_t idx = raw(batch.instance);
     ordered_counters_[idx].add(batch.requests.size());
 
-    // Backend-specific batch work: the master-only and merged policies
-    // fingerprint master batches into the safety log here (kept across
-    // restarts — a recovered node's log simply has a hole where state
-    // transfer skipped delivery); the speculative policy additionally
-    // cross-checks the commit against its speculation record.
-    policy_->on_batch_committed(batch, *this);
+    // Both backends fingerprint master batches into the safety log (kept
+    // across restarts — a recovered node's log simply has a hole where
+    // state transfer skipped delivery), so cross-node log agreement does
+    // not depend on the backend.
+    if (batch.instance == master_instance()) {
+        commit_log_.emplace_back(raw(batch.seq), bft::fingerprint_refs(batch.requests));
+    }
 
     const std::uint64_t instance_bit = std::uint64_t{1} << idx;
     for (const auto& ref : batch.requests) {
@@ -589,30 +583,26 @@ void Node::engine_ordered(const bft::OrderedBatch& batch) {
                 }
             }
         }
-        policy_->on_ref_committed(batch, ref, *this);
+        // Master-only executes the master's order; merged feeds the
+        // instances below the merge width into the merge instead.
+        if (merge_) {
+            if (idx < merge_->width()) merge_->push(idx, ref);
+        } else if (batch.instance == master_instance()) {
+            execute(ref);
+        }
         release_finished(ref.key());
     }
-    policy_->after_batch(batch, *this);
+    if (merge_) merge_->drain([this](const bft::RequestRef& ref) { execute(ref); });
 }
 
-void Node::engine_speculative(const bft::OrderedBatch& batch) {
-    if (crashed_) return;
-    policy_->on_batch_speculative(batch, *this);
-}
-
-// -- ExecutionSink -----------------------------------------------------------
-
-void Node::sink_execute(const bft::RequestRef& ref) { execute(ref); }
-
-void Node::sink_log_commit(std::uint64_t seq, std::uint64_t fingerprint) {
-    commit_log_.emplace_back(seq, fingerprint);
-}
-
-void Node::sink_conflict(const bft::OrderedBatch&) {
-    // A committed master batch contradicted earlier speculation.  The
-    // instance-change machinery is RBFT's existing lever against a
-    // misbehaving master primary, so escalation rides on it (§IV-D).
-    vote_instance_change(IcReason::kSpeculation);
+void Node::reset_merge() {
+    merge_.reset();
+    if (config_.backend == bft::ExecutionBackend::kMerged) {
+        // Clamped to the node's actual instance count: the ablation benches
+        // override it below merge_width(f).
+        merge_.emplace(std::max<std::uint32_t>(
+            1, std::min(merge_width(config_.f), config_.instance_count())));
+    }
 }
 
 void Node::execute(const bft::RequestRef& ref) {

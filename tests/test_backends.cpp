@@ -1,9 +1,8 @@
-// Oracle tests for the pluggable execution backends (src/bft/execution.hpp,
-// src/protocols/execution/).
+// Oracle tests for the two execution backends (src/bft/execution.hpp).
 //
-// Two layers:
+// Three layers:
 //
-//  1. MergeOracle — drives protocols::DeterministicMerge directly with
+//  1. MergeOracle — drives bft::DeterministicMerge directly with
 //     randomized per-instance permutations of a shared request universe and
 //     asserts the two properties the merged backend's correctness argument
 //     rests on: the emitted stream is duplicate-free and covers every
@@ -13,7 +12,7 @@
 //     yields the identical stream.
 //
 //  2. BackendConformance / BackendSweep — full-cluster differential runs
-//     via check::run_conformance: master-only RBFT, merged and speculative
+//     via check::run_conformance: master-only RBFT and merged execution
 //     must complete the same closed-loop request set, fault-free and under
 //     the two attack knobs (equivocating master pre-prepares, degraded
 //     master primary).  The 20-seed sweep carries the tier-2 label.
@@ -28,17 +27,17 @@
 
 #include <gtest/gtest.h>
 
+#include "bft/execution.hpp"
 #include "bft/messages.hpp"
 #include "check/conformance.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "exp/runners.hpp"
-#include "protocols/execution/merged.hpp"
 
 namespace rbft {
 namespace {
 
-using protocols::DeterministicMerge;
+using bft::DeterministicMerge;
 
 // ---------------------------------------------------------------------------
 // MergeOracle
@@ -183,13 +182,13 @@ TEST(MergeOracle, DuplicateSuppressionDoesNotConsumeTheTurn) {
 check::ConformanceScenario backend_scenario(std::uint64_t seed) {
     check::ConformanceScenario s;
     s.seed = seed;
-    s.contenders = {"rbft", "rbft-merged", "rbft-speculative"};
+    s.contenders = {"rbft", "rbft-merged"};
     return s;
 }
 
 void expect_conformant(const check::ConformanceScenario& scenario, const char* label) {
     const check::ConformanceResult result = check::run_conformance(scenario);
-    ASSERT_EQ(result.runs.size(), 3u) << label;
+    ASSERT_EQ(result.runs.size(), 2u) << label;
     for (const auto& run : result.runs) {
         EXPECT_TRUE(run.all_completed)
             << label << ": " << run.protocol << " completed " << run.completed << " of "
@@ -203,8 +202,8 @@ TEST(BackendConformance, FaultFreeBackendsMatchMasterOnly) {
 }
 
 TEST(BackendConformance, MasterDegradationAttack) {
-    // The anti-speculation attack: a slow master gets caught by monitoring
-    // and replaced while speculative execution is in flight.
+    // A slow master gets caught by monitoring and replaced while batches
+    // are in flight; the merge must carry on across the instance change.
     check::ConformanceScenario s = backend_scenario(12);
     s.master_degradation = true;
     expect_conformant(s, "master degradation");

@@ -113,20 +113,14 @@ TEST(EquivalenceSmoke, AardvarkFaultFree) {
                       "aardvark fault-free");
 }
 
-// The execution-policy backends are behavioral changes, not pure perf knobs,
-// but each backend must itself be deterministic: the pool flip stays
-// byte-identical within a backend.
+// The merged backend is a behavioral change, not a pure perf knob, but it
+// must itself be deterministic: the pool flip stays byte-identical within
+// a backend.
 
 TEST(EquivalenceSmoke, RbftMergedBackend) {
     RbftScenario s = short_rbft();
     s.backend = bft::ExecutionBackend::kMerged;
     expect_equivalent(s, rbft_runner(), "rbft merged backend");
-}
-
-TEST(EquivalenceSmoke, RbftSpeculativeBackend) {
-    RbftScenario s = short_rbft();
-    s.backend = bft::ExecutionBackend::kSpeculative;
-    expect_equivalent(s, rbft_runner(), "rbft speculative backend");
 }
 
 }  // namespace
@@ -190,13 +184,6 @@ TEST(EquivalenceFigures, MergedBackendUnderWorst2Attack) {
     s.attack = RbftScenario::Attack::kWorst2;
     s.backend = bft::ExecutionBackend::kMerged;
     expect_equivalent(s, rbft_runner(), "merged backend worst-attack-2");
-}
-
-TEST(EquivalenceFigures, SpeculativeBackendUnderWorst2Attack) {
-    RbftScenario s = short_rbft();
-    s.attack = RbftScenario::Attack::kWorst2;
-    s.backend = bft::ExecutionBackend::kSpeculative;
-    expect_equivalent(s, rbft_runner(), "speculative backend worst-attack-2");
 }
 
 TEST(EquivalenceFigures, Fig2AardvarkAttack) {

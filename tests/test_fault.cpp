@@ -127,10 +127,11 @@ TEST(FaultInjector, AppliesScheduledEventsToCluster) {
 // of the fault-free twin, and produces a byte-identical trace when re-run
 // with the same seed.
 
-TEST(ChaosSoak, SeededSoakIsSafeLiveAndReproducible) {
-    const auto run = [] {
+void expect_soak_safe_live_and_reproducible(bft::ExecutionBackend backend) {
+    const auto run = [backend] {
         exp::ChaosSoakScenario scenario;
         scenario.seed = 1;
+        scenario.backend = backend;
         scenario.recorder = std::make_shared<obs::Recorder>();
         scenario.recorder->enable_trace();
         return exp::run_chaos_soak(scenario);
@@ -175,6 +176,15 @@ TEST(ChaosSoak, SeededSoakIsSafeLiveAndReproducible) {
     b.recorder->write_metrics_json(metrics_b);
     EXPECT_EQ(metrics_a.str(), metrics_b.str());
     EXPECT_EQ(a.completed, b.completed);
+}
+
+TEST(ChaosSoak, SeededSoakIsSafeLiveAndReproducible) {
+    // Merged execution keeps its merge in volatile node state, which a
+    // restart rebuilds, so the soak runs under both backends.
+    for (auto backend : {bft::ExecutionBackend::kMasterOnly, bft::ExecutionBackend::kMerged}) {
+        SCOPED_TRACE(bft::backend_name(backend));
+        expect_soak_safe_live_and_reproducible(backend);
+    }
 }
 
 }  // namespace

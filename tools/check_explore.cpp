@@ -8,7 +8,7 @@
 //   check_explore [--seeds N] [--first-seed S] [--jobs J] [--f F]
 //                 [--duration-ms MS] [--clients C] [--max-perturbations P]
 //                 [--artifact PATH] [--equivocate-mask M] [--prepare-quorum Q]
-//                 [--commit-quorum Q] [--backend master-only|merged|speculative]
+//                 [--commit-quorum Q] [--backend master-only|merged]
 //
 // Seeds run on up to J worker threads (default: hardware concurrency); the
 // outcome is byte-identical at any job count.
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
                          "usage: check_explore [--seeds N] [--first-seed S] [--jobs J] "
                          "[--f F] [--duration-ms MS] [--clients C] [--max-perturbations P] "
                          "[--artifact PATH] [--equivocate-mask M] [--prepare-quorum Q] "
-                         "[--commit-quorum Q] [--backend master-only|merged|speculative]\n");
+                         "[--commit-quorum Q] [--backend master-only|merged]\n");
             return 2;
         }
     }

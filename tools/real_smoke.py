@@ -132,6 +132,15 @@ def main():
         return 1
 
     log = lambda n: os.path.join(args.outdir, n)
+
+    def exited(names):
+        """A failure message for the first of `names` that has exited, else None."""
+        for name in names:
+            rc = procs[name][0].poll()
+            if rc is not None:
+                return f"{name} exited early with rc={rc}; log: {log(name + '.out')}"
+        return None
+
     try:
         for i in range(4):
             launch(f"node{i}", [noded, "--config", cfg, "--node", str(i),
@@ -146,6 +155,9 @@ def main():
         # Phase 1: wait until the client is past --kill-at completions.
         milestone = (args.kill_at // 100) * 100
         while time.monotonic() < deadline:
+            dead = exited(("node0", "node1", "node2", "node3"))
+            if dead:
+                return fail(dead)
             try:
                 with open(client_log) as f:
                     if any(line.startswith("progress ") and
@@ -169,10 +181,15 @@ def main():
                           "--commitlog", log("n3b.log")])
 
         # Phase 3: the client must finish despite the outage (liveness).
-        try:
-            rc = client.wait(timeout=max(1.0, deadline - time.monotonic()))
-        except subprocess.TimeoutExpired:
-            return fail("client did not finish within the budget (liveness)")
+        survivors = ("node0", "node1", "node2", "node3b")
+        client_deadline = max(deadline, time.monotonic() + 1.0)
+        while (rc := client.poll()) is None:
+            dead = exited(survivors)
+            if dead:
+                return fail(dead)
+            if time.monotonic() >= client_deadline:
+                return fail("client did not finish within the budget (liveness)")
+            time.sleep(0.1)
         if rc != 0:
             return fail(f"client exited rc={rc} (liveness)")
         print(f"client completed {args.requests} requests through the outage")
@@ -191,11 +208,9 @@ def main():
         # Every node except the deliberately SIGKILLed first incarnation of
         # node 3 must still be running: shutdown() would otherwise terminate
         # the survivors and hide a node that crashed on its own.
-        for name in ("node0", "node1", "node2", "node3b"):
-            rc = procs[name][0].poll()
-            if rc is not None:
-                return fail(f"{name} exited early with rc={rc}; "
-                            f"log: {log(name + '.out')}")
+        dead = exited(survivors)
+        if dead:
+            return fail(dead)
 
         shutdown()
 
