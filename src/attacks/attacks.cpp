@@ -96,10 +96,10 @@ void WorstAttack2::install() {
     // Flooding from the primary-host node must stay under the NIC-close
     // threshold, or its own PRE-PREPARE channel gets shut (the defense
     // wins).  Budget the allowed invalid rate across this node's flooders.
-    const auto& defense = cluster_.config().flood_defense;
+    static_assert(core::Node::kFloodInvalidThreshold > 2);
     const double invalid_budget =
-        static_cast<double>(defense.invalid_threshold > 2 ? defense.invalid_threshold - 2 : 1) /
-        cluster_.config().monitoring.period.seconds();
+        static_cast<double>(core::Node::kFloodInvalidThreshold - 2) /
+        core::MonitoringConfig::kPeriod.seconds();
     const std::uint32_t host_flooders = evil.instance_count();  // f backups + propagation
     const double host_rate = invalid_budget / host_flooders;
 

@@ -48,19 +48,19 @@ Digest InstanceEngine::batch_digest(const std::vector<RequestRef>& batch) const 
 
 bool InstanceEngine::in_watermarks(SeqNum seq) const noexcept {
     return raw(seq) > raw(last_stable_) &&
-           raw(seq) <= raw(last_stable_) + config_.watermark_window;
+           raw(seq) <= raw(last_stable_) + kWatermarkWindow;
 }
 
 std::uint32_t InstanceEngine::effective_prepare_quorum() const noexcept {
-    if (config_.test_faults.prepare_quorum_override > 0) {
-        return config_.test_faults.prepare_quorum_override;
+    if (faults_.prepare_quorum_override > 0) {
+        return faults_.prepare_quorum_override;
     }
     return prepare_quorum(config_.f);
 }
 
 std::uint32_t InstanceEngine::effective_commit_quorum() const noexcept {
-    if (config_.test_faults.commit_quorum_override > 0) {
-        return config_.test_faults.commit_quorum_override;
+    if (faults_.commit_quorum_override > 0) {
+        return faults_.commit_quorum_override;
     }
     return commit_quorum(config_.f);
 }
@@ -219,7 +219,7 @@ void InstanceEngine::form_and_send_preprepare(std::vector<RequestRef> batch) {
         next_pp_allowed_ = simulator_.now() + behavior_.inter_batch_gap;
     }
 
-    if (config_.test_faults.equivocate_mask != 0 && !pp->batch.empty()) {
+    if (faults_.equivocate_mask != 0 && !pp->batch.empty()) {
         // Planted equivocation (test-only): masked peers receive a variant
         // PRE-PREPARE for the same (view, seq) whose batch has the first
         // request duplicated — same cleared requests, different content
@@ -236,7 +236,7 @@ void InstanceEngine::form_and_send_preprepare(std::vector<RequestRef> batch) {
             const NodeId dest{i};
             if (dest == config_.node) continue;
             core_.charge(simulator_, costs_.send_overhead);
-            const bool masked = (config_.test_faults.equivocate_mask >> i) & 1ULL;
+            const bool masked = (faults_.equivocate_mask >> i) & 1ULL;
             host_.engine_send(config_.instance, dest, masked ? variant : pp);
         }
     } else {

@@ -48,9 +48,9 @@
 namespace rbft::bft {
 
 /// Test-only correctness faults, used by src/check to plant violations the
-/// invariant oracles must catch.  A production configuration keeps the
-/// defaults (all knobs off); nothing in the protocol paths reads these
-/// unless explicitly set.
+/// invariant oracles must catch.  No configuration carries them: a harness
+/// plants them on a built engine (InstanceEngine::plant_faults, or
+/// core::Cluster::plant_engine_faults for a whole cluster).
 struct EngineTestFaults {
     /// Bit i set ⇒ when this replica acts as primary it sends node i an
     /// *equivocating* PRE-PREPARE: same (view, seq) but a different batch
@@ -101,8 +101,6 @@ struct EngineConfig {
 
     /// Checkpoint every this many sequence numbers.
     std::uint64_t checkpoint_interval = 128;
-    /// Max in-flight distance beyond the last stable checkpoint.
-    std::uint64_t watermark_window = 2048;
 
     /// The replica starts in recovery mode (rebuilt after a crash): it
     /// adopts the view f+1 peers report via checkpoint piggybacks instead of
@@ -113,9 +111,6 @@ struct EngineConfig {
     /// (receivers dedupe).  Recovers quorums interrupted by partitions or
     /// message loss.  Zero disables (seed behavior).
     Duration retry_interval{};
-
-    /// Planted correctness faults for oracle tests (defaults = correct).
-    EngineTestFaults test_faults{};
 };
 
 /// Byzantine-primary levers used by the attack experiments.  A correct
@@ -166,6 +161,9 @@ public:
 
 class InstanceEngine {
 public:
+    /// Max in-flight distance beyond the last stable checkpoint.
+    static constexpr std::uint64_t kWatermarkWindow = 2048;
+
     InstanceEngine(EngineConfig config, sim::Simulator& simulator, sim::CpuCore& core,
                    const crypto::KeyStore& keys, const crypto::CostModel& costs,
                    EngineHost& host);
@@ -192,6 +190,10 @@ public:
     void retire();
 
     void set_primary_behavior(PrimaryBehavior behavior) { behavior_ = std::move(behavior); }
+
+    /// Plants correctness faults for oracle tests (a correct engine has
+    /// none).  Applies from the next PRE-PREPARE sent or vote counted.
+    void plant_faults(const EngineTestFaults& faults) noexcept { faults_ = faults; }
 
     // -- Introspection -------------------------------------------------------
 
@@ -394,6 +396,7 @@ private:
     TimePoint last_pp_seen_{};
     bool silent_replica_ = false;
     PrimaryBehavior behavior_;
+    EngineTestFaults faults_;
 
     // Registry handles, resolved once in the constructor (profiler_ may be null).
     obs::Recorder* recorder_;

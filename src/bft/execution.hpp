@@ -26,7 +26,7 @@
 
 namespace rbft::bft {
 
-/// Selector for the ordering→execution backend (registry + --backend flag).
+/// Selector for the ordering→execution backend (the --backend flag).
 enum class ExecutionBackend : std::uint32_t {
     kMasterOnly = 0,  // the paper's RBFT: execute master-instance commits
     kMerged = 1,      // parallel-leader: merge all f+1 committed orders

@@ -5,7 +5,6 @@
 
 #include "attacks/attacks.hpp"
 #include "protocols/clusters.hpp"
-#include "protocols/registry.hpp"
 #include "rbft/cluster.hpp"
 #include "sim/simulator.hpp"
 #include "workload/client.hpp"
@@ -62,20 +61,35 @@ ProtocolExecution drive(ClusterT& cluster, const ConformanceScenario& scenario,
     return run;
 }
 
-}  // namespace
+enum class Family { kRbft, kAardvark, kSpinning, kPrime };
 
-namespace {
+struct Contender {
+    const char* name;  // also the ConformanceScenario::contenders spelling
+    Family family;
+    /// Meaningful for the RBFT family only (baselines have a fixed path).
+    bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
+};
 
-ProtocolExecution run_contender(const protocols::ProtocolEntry& entry,
-                                const ConformanceScenario& scenario) {
+/// Every contender, RBFT backends first, then the baselines.
+constexpr Contender kContenders[] = {
+    {"rbft", Family::kRbft, bft::ExecutionBackend::kMasterOnly},
+    {"rbft-merged", Family::kRbft, bft::ExecutionBackend::kMerged},
+    {"aardvark", Family::kAardvark},
+    {"spinning", Family::kSpinning},
+    {"prime", Family::kPrime},
+};
+
+ProtocolExecution run_contender(const Contender& entry, const ConformanceScenario& scenario) {
     switch (entry.family) {
-        case protocols::Family::kRbft: {
+        case Family::kRbft: {
             core::ClusterConfig cfg;
             cfg.f = scenario.f;
             cfg.seed = scenario.seed;
-            cfg.engine_test_faults.equivocate_mask = scenario.equivocate_mask;
             cfg.backend = entry.backend;
             core::Cluster cluster(cfg);
+            bft::EngineTestFaults faults;
+            faults.equivocate_mask = scenario.equivocate_mask;
+            cluster.plant_engine_faults(faults);
             std::unique_ptr<attacks::MasterDegradation> degrade;
             if (scenario.master_degradation) {
                 degrade = std::make_unique<attacks::MasterDegradation>(cluster);
@@ -84,19 +98,19 @@ ProtocolExecution run_contender(const protocols::ProtocolEntry& entry,
             cluster.start();
             return drive(cluster, scenario, entry.name);
         }
-        case protocols::Family::kAardvark: {
+        case Family::kAardvark: {
             protocols::AardvarkCluster cluster(scenario.f, scenario.seed, {},
                                                protocols::default_channel_aardvark());
             cluster.start();
             return drive(cluster, scenario, entry.name);
         }
-        case protocols::Family::kSpinning: {
+        case Family::kSpinning: {
             protocols::SpinningCluster cluster(scenario.f, scenario.seed, {},
                                                protocols::default_channel_spinning());
             cluster.start();
             return drive(cluster, scenario, entry.name);
         }
-        case protocols::Family::kPrime: {
+        case Family::kPrime: {
             protocols::PrimeCluster cluster(scenario.f, scenario.seed, {},
                                             protocols::default_channel_prime());
             cluster.start();
@@ -111,7 +125,7 @@ ProtocolExecution run_contender(const protocols::ProtocolEntry& entry,
 ConformanceResult run_conformance(const ConformanceScenario& scenario) {
     ConformanceResult result;
 
-    for (const protocols::ProtocolEntry& entry : protocols::protocol_registry()) {
+    for (const Contender& entry : kContenders) {
         if (!scenario.contenders.empty() &&
             std::find(scenario.contenders.begin(), scenario.contenders.end(), entry.name) ==
                 scenario.contenders.end()) {
@@ -119,7 +133,7 @@ ConformanceResult run_conformance(const ConformanceScenario& scenario) {
         }
         // Attack knobs only exist for the RBFT family; the baselines would
         // run fault-free and (correctly) diverge on timing, so they sit out.
-        if (scenario.attacked() && !entry.rbft_family()) continue;
+        if (scenario.attacked() && entry.family != Family::kRbft) continue;
         result.runs.push_back(run_contender(entry, scenario));
     }
 

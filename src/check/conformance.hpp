@@ -1,13 +1,12 @@
-// Differential conformance: every registered contender (RBFT with each of
-// its execution backends, plus the Aardvark / Spinning / Prime baselines)
-// under the identical workload and seed.  Every protocol must complete the
+// Differential conformance: every contender (RBFT with each of its
+// execution backends, plus the Aardvark / Spinning / Prime baselines) under
+// the identical workload and seed.  Every protocol must complete the
 // same closed-loop request set — executed (client, request) pairs are
 // collected from client completions and compared across protocols.
 // Divergence means one implementation dropped, duplicated or invented a
 // request the others agreed on.
 //
-// The contender list comes from protocols::protocol_registry(); a new
-// backend registered there automatically becomes a conformance contender.
+// The contender list is the table at the top of conformance.cpp.
 // Attack knobs (equivocation, master degradation) apply to the RBFT family
 // only and automatically restrict the run to it — the comparison is then
 // "merged execution commits the same request set as master-only RBFT even
@@ -35,8 +34,8 @@ struct ConformanceScenario {
     /// Hard stop per protocol run (all completions normally land well
     /// before this).
     Duration time_limit = seconds(20.0);
-    /// Contenders by registry name (protocols::protocol_registry()); empty
-    /// = every registered protocol/backend.
+    /// Contenders by name ("rbft", "rbft-merged", "aardvark", "spinning",
+    /// "prime"); empty = every contender.
     std::vector<std::string> contenders;
     /// Plant equivocating master engines at the masked nodes (RBFT family
     /// only; selecting it drops the baselines from the run).
@@ -68,8 +67,7 @@ struct ConformanceResult {
     [[nodiscard]] bool ok() const noexcept { return all_completed && sets_match; }
 };
 
-/// Runs the scenario on every selected contender from the protocol
-/// registry.
+/// Runs the scenario on every selected contender.
 [[nodiscard]] ConformanceResult run_conformance(const ConformanceScenario& scenario);
 
 }  // namespace rbft::check

@@ -131,7 +131,6 @@ ScheduleResult run_schedule(const ExploreScenario& scenario, std::uint64_t seed,
     cfg.pooled_messages = scenario.pooled_messages;
     cfg.checkpoint_interval = scenario.checkpoint_interval;
     cfg.engine_retry_interval = scenario.engine_retry_interval;
-    cfg.engine_test_faults = scenario.test_faults;
     cfg.backend = scenario.backend;
 
     obs::Recorder recorder;
@@ -147,6 +146,7 @@ ScheduleResult run_schedule(const ExploreScenario& scenario, std::uint64_t seed,
     oracles.attach(recorder);
 
     core::Cluster cluster(cfg);
+    cluster.plant_engine_faults(scenario.test_faults);
     cluster.start();
 
     const fault::FaultPlan plan = plan_from(perturbations);

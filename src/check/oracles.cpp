@@ -164,7 +164,7 @@ void OracleSuite::on_ic_vote(const obs::TraceEvent& e) {
         e.b == static_cast<std::uint64_t>(core::Node::IcReason::kThroughput)) {
         count(OracleId::kMonitoring);
         const auto& dq = verdicts_[e.node];
-        const std::uint32_t needed = config_.monitoring.consecutive_bad_windows;
+        const std::uint32_t needed = core::MonitoringConfig::kConsecutiveBadWindows;
         std::uint32_t judged = 0;
         bool all_bad = true;
         for (auto rit = dq.rbegin(); rit != dq.rend() && judged < needed; ++rit) {

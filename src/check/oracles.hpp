@@ -85,8 +85,9 @@ struct OracleConfig {
     /// Protocol instances per node (0 = the RBFT default f+1).
     std::uint32_t instances = 0;
     /// Monitoring parameters the monitored cluster actually runs with; the
-    /// monitoring oracle replays the Δ-window rule against the emitted
-    /// verdicts.
+    /// monitoring oracle replays the Δ-window rule, with the node's streak
+    /// length (MonitoringConfig::kConsecutiveBadWindows), against the
+    /// emitted verdicts.
     core::MonitoringConfig monitoring{};
     /// Disable for runs without RBFT monitoring semantics (baselines).
     bool check_monitoring = true;

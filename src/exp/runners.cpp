@@ -127,7 +127,7 @@ ScenarioOutput run_rbft(const RbftScenario& scenario) {
     cfg.f = scenario.f;
     cfg.seed = scenario.seed;
     cfg.use_udp = scenario.use_udp;
-    cfg.pooled_messages = scenario.runtime.pooled_messages;
+    cfg.pooled_messages = scenario.pooled_messages;
     cfg.order_full_requests = scenario.order_full_requests;
     cfg.monitoring.delta = scenario.delta;
     cfg.instances_override = scenario.instances_override;
@@ -265,9 +265,12 @@ ScenarioOutput drive_baseline(Cluster& cluster, AttackT* attack,
     std::unique_ptr<workload::ClientEndpoint> heavy_client;
     std::unique_ptr<workload::LoadGenerator> heavy_load;
     if (scenario.attack && protocol == Protocol::kPrime) {
+        // The faulty client's heavy-request execution cost and rate.
+        constexpr Duration kHeavyExec = milliseconds(1.0);
+        constexpr double kHeavyRate = 700.0;
         workload::ClientBehavior heavy;
         heavy.payload_bytes = scenario.payload_bytes;
-        heavy.exec_cost = scenario.heavy_exec;
+        heavy.exec_cost = kHeavyExec;
         heavy.message_pool = cluster.message_pool();
         heavy.round_robin_single = true;
         heavy_client = std::make_unique<workload::ClientEndpoint>(
@@ -275,7 +278,7 @@ ScenarioOutput drive_baseline(Cluster& cluster, AttackT* attack,
             cluster.n(), cluster.f(), heavy);
         heavy_load = std::make_unique<workload::LoadGenerator>(
             cluster.simulator(), std::vector<workload::ClientEndpoint*>{heavy_client.get()},
-            workload::LoadSpec::constant(scenario.heavy_rate, window_to - TimePoint{}, 1),
+            workload::LoadSpec::constant(kHeavyRate, window_to - TimePoint{}, 1),
             Rng(scenario.seed ^ 0xabcdef));
         heavy_load->start();
     }
@@ -297,12 +300,10 @@ ScenarioOutput run_baseline(const BaselineScenario& scenario) {
             auto recorder = make_run_recorder(scenario.recorder);
             protocols::AardvarkConfig cfg;
             cfg.base.recorder = recorder.get();
-            (void)scenario.aardvark_fast_schedule;  // defaults are already
-            // time-compressed vs the paper's 5 s grace on hour-long runs.
             protocols::AardvarkCluster cluster(
                 1, scenario.seed, cfg, protocols::default_channel_aardvark(), {},
                 [] { return std::make_unique<core::NullService>(); },
-                protocols::ClusterRuntimeOptions{scenario.runtime.pooled_messages});
+                scenario.pooled_messages);
             std::unique_ptr<attacks::AardvarkAttack> attack;
             if (scenario.attack) {
                 // Static load: the malicious node takes the primary role
@@ -326,7 +327,7 @@ ScenarioOutput run_baseline(const BaselineScenario& scenario) {
             protocols::SpinningCluster cluster(
                 1, scenario.seed, cfg, protocols::default_channel_spinning(), {},
                 [] { return std::make_unique<core::NullService>(); },
-                protocols::ClusterRuntimeOptions{scenario.runtime.pooled_messages});
+                scenario.pooled_messages);
             std::unique_ptr<attacks::SpinningAttack> attack;
             if (scenario.attack) {
                 attack = std::make_unique<attacks::SpinningAttack>(cluster, NodeId{3});
@@ -344,7 +345,7 @@ ScenarioOutput run_baseline(const BaselineScenario& scenario) {
             protocols::PrimeCluster cluster(
                 1, scenario.seed, cfg, protocols::default_channel_prime(), {},
                 [] { return std::make_unique<core::NullService>(); },
-                protocols::ClusterRuntimeOptions{scenario.runtime.pooled_messages});
+                scenario.pooled_messages);
             std::unique_ptr<attacks::PrimeAttack> attack;
             if (scenario.attack) {
                 // The initial primary (rotation round 0) is the malicious one.

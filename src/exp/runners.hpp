@@ -57,17 +57,13 @@ struct ScenarioOutput {
     std::shared_ptr<obs::Recorder> recorder;
 };
 
-/// Allocator knob every scenario carries (default = production hot path).
-/// The equivalence rig flips it and asserts byte-identical
-/// metrics/trace/profile exports.
-struct RuntimeKnobs {
-    bool pooled_messages = true;
-};
-
 struct RbftScenario {
     std::uint32_t f = 1;
     bool use_udp = false;
-    RuntimeKnobs runtime{};
+    /// Message allocation through the cluster's pool (the production hot
+    /// path); the equivalence rig turns it off and asserts byte-identical
+    /// metrics/trace/profile exports.
+    bool pooled_messages = true;
     bool order_full_requests = false;
     std::size_t payload_bytes = 8;
     Duration exec_cost{};
@@ -94,22 +90,16 @@ struct RbftScenario {
 
 struct BaselineScenario {
     Protocol protocol = Protocol::kAardvark;  // kAardvark | kSpinning | kPrime
-    RuntimeKnobs runtime{};
+    bool pooled_messages = true;  // as RbftScenario::pooled_messages
     std::size_t payload_bytes = 8;
     Duration exec_cost{};
     LoadShape load = LoadShape::kStatic;
     double rate = 0.0;  // 0 = saturated
     bool attack = false;
-    /// Prime attack: the faulty client's heavy-request execution cost/rate.
-    Duration heavy_exec = milliseconds(1.0);
-    double heavy_rate = 700.0;
     std::uint64_t seed = 42;
     std::uint32_t clients = 20;
     Duration warmup = seconds(1.0);
     Duration measure = seconds(2.0);
-    /// Aardvark: number of honest-primary views to bootstrap expectation
-    /// history before the malicious node's turn (static-load attack).
-    bool aardvark_fast_schedule = true;
     /// Observability sink to attach; null = the runner creates its own.
     /// Tracing is enabled automatically when RBFT_OBS_DIR is set, and the
     /// runner exports metrics.json/trace.json there after the run.

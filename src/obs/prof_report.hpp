@@ -1,7 +1,7 @@
 // Rendering and parsing for hot-path profiles: top-N hotspot tables,
 // collapsed-stack (flamegraph-compatible) text export, and a line-oriented
-// reader for profile.json — shared by tools/perf_report and the
-// `trace_inspect prof` subcommand so both stay a thin main().
+// reader for profile.json, used by tools/perf_report so it stays a thin
+// main().
 #pragma once
 
 #include <cstdint>

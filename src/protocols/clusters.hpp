@@ -19,16 +19,10 @@
 
 namespace rbft::protocols {
 
-/// Allocator knob shared by every protocol cluster, mirroring the
-/// equivalent field of core::ClusterConfig (the equivalence rig flips it
-/// and asserts byte-identical runs).
-struct ClusterRuntimeOptions {
-    bool pooled_messages = true;
-};
-
 /// Generic 3f+1-node cluster for a baseline protocol.  NodeT must provide
 /// on_message(Address, MessagePtr) and start(); ConfigT must expose
-/// assign_topology(NodeId, n, f).
+/// assign_topology(NodeId, n, f).  `pooled_messages` is
+/// core::ClusterConfig::pooled_messages for the baselines.
 template <typename NodeT, typename ConfigT>
 class ProtocolCluster {
 public:
@@ -38,9 +32,9 @@ public:
                     net::ChannelParams channel, crypto::CostModel costs = {},
                     ServiceFactory service_factory =
                         [] { return std::make_unique<core::NullService>(); },
-                    ClusterRuntimeOptions runtime = {})
+                    bool pooled_messages = true)
         : f_(f), n_(cluster_size(f)), keys_(seed), costs_(costs) {
-        if (runtime.pooled_messages) pool_ = std::make_unique<net::MessagePool>();
+        if (pooled_messages) pool_ = std::make_unique<net::MessagePool>();
         network_ = std::make_unique<net::Network>(simulator_, n_, Rng(seed), channel, channel);
         // The template's recorder (directly for Prime, nested in the shared
         // BaselineConfig for the others), else the cluster's own.

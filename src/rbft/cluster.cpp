@@ -26,9 +26,7 @@ Cluster::Cluster(ClusterConfig config, ServiceFactory service_factory)
         nc.checkpoint_interval = config_.checkpoint_interval;
         nc.engine_retry_interval = config_.engine_retry_interval;
         nc.monitoring = config_.monitoring;
-        nc.flood_defense = config_.flood_defense;
         nc.instances_override = config_.instances_override;
-        nc.engine_test_faults = config_.engine_test_faults;
         nc.backend = config_.backend;
         nc.recorder = recorder_;
         nc.message_pool = pool_.get();
@@ -58,6 +56,18 @@ void Cluster::restart_node(NodeId id) {
     log_info(config_.logger, "cluster", "restart node " + std::to_string(raw(id)));
     network_->set_node_down(id, false);
     node(id).restart();
+    plant_in(node(id));
+}
+
+void Cluster::plant_engine_faults(const bft::EngineTestFaults& faults) {
+    engine_faults_ = faults;
+    for (auto& node : nodes_) plant_in(*node);
+}
+
+void Cluster::plant_in(Node& node) {
+    for (std::uint32_t i = 0; i < node.instance_count(); ++i) {
+        node.engine(InstanceId{i}).plant_faults(engine_faults_);
+    }
 }
 
 }  // namespace rbft::core

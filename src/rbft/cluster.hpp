@@ -40,12 +40,9 @@ struct ClusterConfig {
     Duration engine_retry_interval{};
 
     MonitoringConfig monitoring{};
-    FloodDefenseConfig flood_defense{};
     crypto::CostModel costs{};
     /// 0 = f+1 instances (see NodeConfig::instances_override).
     std::uint32_t instances_override = 0;
-    /// Planted engine faults for oracle tests (defaults = correct engines).
-    bft::EngineTestFaults engine_test_faults{};
     /// Ordering→execution backend of every node (see NodeConfig::backend).
     bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
     /// Metrics registry and flight recorder shared by the simulator, network
@@ -102,11 +99,20 @@ public:
     void crash_node(NodeId id);
 
     /// Reopens the fabric and restarts the node's process with empty
-    /// volatile state; it rejoins via checkpoint state transfer.
+    /// volatile state; it rejoins via checkpoint state transfer.  Planted
+    /// engine faults are planted again in the fresh engines.
     void restart_node(NodeId id);
 
+    /// Plants correctness faults in every engine of every node, now and
+    /// after every restart_node (oracle tests; see bft::EngineTestFaults).
+    /// Call before start().
+    void plant_engine_faults(const bft::EngineTestFaults& faults);
+
 private:
+    void plant_in(Node& node);
+
     ClusterConfig config_;
+    bft::EngineTestFaults engine_faults_;
     // Declared before everything that records into it, so it outlives them.
     obs::Recorder own_recorder_;
     obs::Recorder* recorder_ = &own_recorder_;

@@ -23,14 +23,18 @@ Node::Node(NodeConfig config, sim::Simulator& simulator, net::Fabric& network,
       keys_(keys),
       costs_(costs),
       service_(std::move(service)),
-      cpu_(config.cores),
+      cpu_(kCores),
       recorder_(config.recorder) {
     assert(recorder_ != nullptr && "NodeConfig::recorder is required");
     assert(config_.n <= kMaxNodes && "RequestState::propagated_by is a 64-bit NodeId mask");
     const std::uint32_t instances = config_.instance_count();
     assert(instances < 64 && "RequestState::ordered_by is a 64-bit InstanceId mask");
     reset_merge();
-    lanes_ = config_.effective_lanes();
+    const std::uint32_t first_free = kFirstReplicaCore + instances;
+    const std::uint32_t spare = kCores > first_free ? (kCores - first_free) / 2 : 0;
+    const std::uint32_t want =
+        config_.backend == bft::ExecutionBackend::kMerged ? merge_width(config_.f) : 1;
+    lanes_ = std::min(want, 1 + spare);
     make_engines(/*recovering=*/false);
     ordered_counters_.resize(instances);
 
@@ -75,7 +79,6 @@ void Node::make_engines(bool recovering) {
         ec.recovering = recovering;
         ec.recorder = config_.recorder;
         ec.message_pool = config_.message_pool;
-        ec.test_faults = config_.engine_test_faults;
         engines_.push_back(std::make_unique<bft::InstanceEngine>(
             ec, simulator_, replica_core(InstanceId{i}), keys_, costs_, *this));
     }
@@ -96,7 +99,7 @@ StateSizes Node::state_sizes() const {
 }
 
 void Node::start() {
-    monitor_timer_.start(simulator_, config_.monitoring.period, [this] { monitoring_tick(); });
+    monitor_timer_.start(simulator_, MonitoringConfig::kPeriod, [this] { monitoring_tick(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -145,12 +148,12 @@ void Node::restart() {
     for (auto& counter : ordered_counters_) (void)counter.take();
     // Extra grace: the node needs a few periods to resync before its
     // monitoring comparisons mean anything.
-    grace_remaining_ = config_.monitoring.grace_ticks + 3;
+    grace_remaining_ = MonitoringConfig::kGraceTicks + 3;
 
     recovering_ = true;
     crashed_ = false;
     ctr_restarts_->add();
-    monitor_timer_.start(simulator_, config_.monitoring.period, [this] { monitoring_tick(); });
+    monitor_timer_.start(simulator_, MonitoringConfig::kPeriod, [this] { monitoring_tick(); });
     if (recorder_->observing()) {
         recorder_->event({simulator_.now(), obs::EventType::kNodeRestarted, raw(config_.id),
                           obs::kNoInstance, 0, 0, 0.0});
@@ -651,7 +654,7 @@ void Node::monitoring_tick() {
     if (faulty_ || !monitoring_enabled_) return;
     invalid_counts_.clear();
 
-    const double period_s = config_.monitoring.period.seconds();
+    const double period_s = MonitoringConfig::kPeriod.seconds();
     std::vector<std::uint64_t> counts(engines_.size());
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < engines_.size(); ++i) {
@@ -665,7 +668,7 @@ void Node::monitoring_tick() {
         --grace_remaining_;
         return;
     }
-    if (total < config_.monitoring.min_window_requests) {
+    if (total < MonitoringConfig::kMinWindowRequests) {
         suspicious_ = false;
         return;
     }
@@ -693,7 +696,7 @@ void Node::monitoring_tick() {
         // Monitoring verdict: the observed master/backup throughput ratio
         // judged against Δ — the heart of §IV-C, recorded every period.
         const std::uint64_t verdict =
-            below_delta ? (bad_window_streak_ + 1 >= config_.monitoring.consecutive_bad_windows
+            below_delta ? (bad_window_streak_ + 1 >= MonitoringConfig::kConsecutiveBadWindows
                                ? obs::kVerdictVoted
                                : obs::kVerdictBelowDelta)
                         : obs::kVerdictOk;
@@ -702,7 +705,7 @@ void Node::monitoring_tick() {
     }
     if (below_delta) {
         ++bad_window_streak_;
-        if (bad_window_streak_ >= config_.monitoring.consecutive_bad_windows) {
+        if (bad_window_streak_ >= MonitoringConfig::kConsecutiveBadWindows) {
             suspicious_ = true;
             vote_instance_change(IcReason::kThroughput);
         }
@@ -803,7 +806,7 @@ void Node::reset_monitoring_state() {
     client_latency_.clear();
     suspicious_ = false;
     bad_window_streak_ = 0;
-    grace_remaining_ = config_.monitoring.grace_ticks;
+    grace_remaining_ = MonitoringConfig::kGraceTicks;
 }
 
 // ---------------------------------------------------------------------------
@@ -811,10 +814,8 @@ void Node::reset_monitoring_state() {
 
 void Node::count_invalid(net::Address from) {
     const std::uint64_t count = ++invalid_counts_[address_key(from)];
-    if (count == config_.flood_defense.invalid_threshold &&
-        from.kind == net::Address::Kind::kNode) {
-        network_.nic(config_.id, from)
-            .close_for(simulator_.now(), config_.flood_defense.close_duration);
+    if (count == kFloodInvalidThreshold && from.kind == net::Address::Kind::kNode) {
+        network_.nic(config_.id, from).close_for(simulator_.now(), kFloodCloseDuration);
         ctr_nic_closures_->add();
         recorder_->event({simulator_.now(), obs::EventType::kNicClosed, raw(config_.id),
                           obs::kNoInstance, from.index, 0, 0.0});

@@ -55,7 +55,16 @@ namespace rbft::core {
 
 struct MonitoringConfig {
     /// Monitoring period (throughput windows, §IV-C).
-    Duration period = milliseconds(100.0);
+    static constexpr Duration kPeriod = milliseconds(100.0);
+    /// Windows with fewer master+backup requests than this are not judged
+    /// (prevents false positives at startup / idle).
+    static constexpr std::uint64_t kMinWindowRequests = 20;
+    /// Ticks skipped after an instance change (state resettles).
+    static constexpr std::uint32_t kGraceTicks = 2;
+    /// Consecutive below-Δ windows required before voting (smooths out
+    /// single-window batching noise).
+    static constexpr std::uint32_t kConsecutiveBadWindows = 2;
+
     /// Δ: minimum acceptable ratio master-throughput / mean backup
     /// throughput.  Close to 1 because instances run on identical machines
     /// and order identical request streams (see DESIGN.md §5).
@@ -65,30 +74,12 @@ struct MonitoringConfig {
     /// Ω: maximal acceptable difference between a client's average latency
     /// on the master instance and on the backup instances.
     Duration omega = seconds(10.0);
-    /// Windows with fewer master+backup requests than this are not judged
-    /// (prevents false positives at startup / idle).
-    std::uint64_t min_window_requests = 20;
-    /// Ticks skipped after an instance change (state resettles).
-    std::uint32_t grace_ticks = 2;
-    /// Consecutive below-Δ windows required before voting (smooths out
-    /// single-window batching noise).
-    std::uint32_t consecutive_bad_windows = 2;
-};
-
-struct FloodDefenseConfig {
-    /// Invalid messages from one peer within one monitoring period that
-    /// trigger closing that peer's NIC.
-    std::uint64_t invalid_threshold = 16;
-    /// How long the NIC stays closed (§V: gives the faulty node time to
-    /// restart or get repaired).
-    Duration close_duration = seconds(2.0);
 };
 
 struct NodeConfig {
     NodeId id{};
     std::uint32_t n = 4;
     std::uint32_t f = 1;
-    std::uint32_t cores = 8;
 
     /// Ordering-engine knobs, shared by all local instances.
     std::uint32_t batch_max = 64;
@@ -100,7 +91,6 @@ struct NodeConfig {
     Duration engine_retry_interval{};
 
     MonitoringConfig monitoring{};
-    FloodDefenseConfig flood_defense{};
 
     /// Metrics registry and flight recorder; required (every protocol event is counted there).
     obs::Recorder* recorder = nullptr;
@@ -114,31 +104,13 @@ struct NodeConfig {
     /// bench (e.g. 2f+1 instances).
     std::uint32_t instances_override = 0;
 
-    /// Planted engine faults for oracle tests (defaults = correct engines).
-    bft::EngineTestFaults engine_test_faults{};
-
     /// Ordering→execution backend: master-only (the paper's) or merged
     /// (see bft/execution.hpp).  It also sets the client-facing pipeline
-    /// lanes (effective_lanes()).
+    /// lanes (Node::lanes()).
     bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
 
     [[nodiscard]] std::uint32_t instance_count() const noexcept {
         return instances_override > 0 ? instances_override : redundant_instances(f);
-    }
-
-    /// Client-facing pipeline lanes: the Verification and Propagation
-    /// modules are sharded across this many (verification, propagation)
-    /// core pairs, keyed on the request digest.  Master-only keeps the
-    /// paper's single lane; merged execution asks for merge_width(f) lanes
-    /// to move the client-facing bottleneck off one core, mirroring how
-    /// parallel-leader designs (RCC/FnF) spread leader-side work.  Lane 0
-    /// uses the classic cores; extra lanes use one core pair each carved
-    /// from the cores above the replicas, clamped to what the CPU has free.
-    [[nodiscard]] std::uint32_t effective_lanes() const noexcept {
-        const std::uint32_t first_free = 4 + instance_count();  // kFirstReplicaCore
-        const std::uint32_t spare = cores > first_free ? (cores - first_free) / 2 : 0;
-        const std::uint32_t want = backend == bft::ExecutionBackend::kMerged ? merge_width(f) : 1;
-        return want > 1 + spare ? 1 + spare : want;
     }
 };
 
@@ -204,7 +176,14 @@ public:
 
     [[nodiscard]] std::uint64_t cpi() const noexcept { return cpi_; }
 
-    /// Client-facing pipeline lanes actually in use (≥ 1).
+    /// Client-facing pipeline lanes (≥ 1): the Verification and Propagation
+    /// modules are sharded across this many (verification, propagation)
+    /// core pairs, keyed on the request digest.  Master-only keeps the
+    /// paper's single lane; merged execution asks for merge_width(f) lanes
+    /// to move the client-facing bottleneck off one core, mirroring how
+    /// parallel-leader designs (RCC/FnF) spread leader-side work.  Lane 0
+    /// uses the classic cores; extra lanes use one core pair each carved
+    /// from the cores above the replicas, clamped to what the CPU has free.
     [[nodiscard]] std::uint32_t lanes() const noexcept { return lanes_; }
 
     /// Makes this node Byzantine: replicas abstain, modules stop serving.
@@ -249,12 +228,22 @@ public:
 
     [[nodiscard]] sim::NodeCpu& cpu() noexcept { return cpu_; }
 
+    /// Cores per node (PAPER.md: 8 cores/node).
+    static constexpr std::uint32_t kCores = 8;
     // Core pinning (Fig. 6): modules are threads, replicas are processes.
     static constexpr std::uint32_t kVerificationCore = 0;
     static constexpr std::uint32_t kPropagationCore = 1;
     static constexpr std::uint32_t kDispatchCore = 2;
     static constexpr std::uint32_t kExecutionCore = 3;
     static constexpr std::uint32_t kFirstReplicaCore = 4;
+
+    // Flood defense (§V).
+    /// Invalid messages from one peer within one monitoring period that
+    /// trigger closing that peer's NIC.
+    static constexpr std::uint64_t kFloodInvalidThreshold = 16;
+    /// How long the NIC stays closed (gives the faulty node time to restart
+    /// or get repaired).
+    static constexpr Duration kFloodCloseDuration = seconds(2.0);
 
 private:
     struct RequestState {

@@ -167,7 +167,7 @@ TEST(Oracles, InstanceChangeWithoutFullCoordinationTrips) {
 }
 
 TEST(Oracles, MonitoringVoteAfterConsecutiveBadWindowsIsClean) {
-    OracleSuite suite = make_suite();  // consecutive_bad_windows = 2
+    OracleSuite suite = make_suite();  // MonitoringConfig::kConsecutiveBadWindows = 2
     suite.on_event(ev(1000, EventType::kMonitorVerdict, 2, obs::kNoInstance, 40,
                       obs::kVerdictBelowDelta, 0.5));
     // A not-judged window in between does not reset the streak.
@@ -385,7 +385,7 @@ TEST(Conformance, AllProtocolsExecuteTheSameRequestSet) {
     ConformanceScenario scenario;
     scenario.requests_per_client = 10;
     const ConformanceResult result = run_conformance(scenario);
-    // Every registry contender: two RBFT execution backends + the three
+    // Every contender: two RBFT execution backends + the three
     // baseline protocols.
     ASSERT_EQ(result.runs.size(), 5u);
     for (const ProtocolExecution& run : result.runs) {

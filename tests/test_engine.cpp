@@ -522,14 +522,14 @@ TEST(Engine, WatermarkBoundsInFlightProposals) {
     EngineConfig cfg;
     cfg.batch_max = 1;
     cfg.checkpoint_interval = 1000;  // checkpoints can't advance in this run
-    cfg.watermark_window = 16;
     EngineHarness h(cfg);
     // Make backups silent so nothing commits: primary may propose at most
-    // `watermark_window` slots beyond stable (0).
+    // `kWatermarkWindow` slots beyond stable (0).
+    constexpr std::uint64_t kWindow = InstanceEngine::kWatermarkWindow;
     for (std::uint32_t i = 1; i < 4; ++i) h.engine(i).set_silent(true);
-    for (std::uint64_t i = 1; i <= 100; ++i) h.engine(0).submit(ref_for(i));
+    for (std::uint64_t i = 1; i <= kWindow + 100; ++i) h.engine(0).submit(ref_for(i));
     h.sim.run_for(seconds(1.0));
-    EXPECT_LE(h.engine(0).preprepares_sent(), 16u);
+    EXPECT_LE(h.engine(0).preprepares_sent(), kWindow);
 }
 
 // ---------------------------------------------------------------------------
@@ -747,9 +747,10 @@ TEST(EngineBehavior, VotesForAnEquivocatedVariantAreNotCounted) {
     // does.  They back another digest, so they must not count toward the
     // original's quorums: node 1 holds only its own PREPARE, and nobody can
     // order seq 1.
-    EngineConfig cfg;
-    cfg.test_faults.equivocate_mask = 0b1100;
-    EngineHarness h(cfg);
+    EngineHarness h;
+    EngineTestFaults faults;
+    faults.equivocate_mask = 0b1100;
+    for (std::uint32_t i = 0; i < 4; ++i) h.engine(i).plant_faults(faults);
     h.intercept_ = [](NodeId dest, net::MessagePtr& m, Duration& latency) {
         if (dest == NodeId{1} && m->type() == net::MsgType::kPrePrepare) {
             latency = latency + milliseconds(5.0);

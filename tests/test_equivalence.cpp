@@ -65,12 +65,12 @@ void expect_same(const Export& a, const Export& b, const char* label, const char
 /// Runs `scenario` pooled and unpooled and asserts byte identity.
 template <typename Scenario, typename Runner>
 void expect_equivalent(Scenario scenario, Runner&& runner, const char* label) {
-    scenario.runtime = RuntimeKnobs{true};
+    scenario.pooled_messages = true;
     const Export hot = run_export(scenario, runner);
     ASSERT_FALSE(hot.trace.empty()) << label << ": empty trace, rig is vacuous";
 
     Scenario no_pool = scenario;
-    no_pool.runtime.pooled_messages = false;
+    no_pool.pooled_messages = false;
     expect_same(hot, run_export(no_pool, runner), label, "unpooled messages");
 }
 

@@ -11,6 +11,7 @@
 #include "fault/plan.hpp"
 #include "obs/recorder.hpp"
 #include "rbft/cluster.hpp"
+#include "workload/client.hpp"
 
 namespace rbft::fault {
 namespace {
@@ -119,6 +120,45 @@ TEST(FaultInjector, AppliesScheduledEventsToCluster) {
     EXPECT_FALSE(cluster.node(3).crashed());
     EXPECT_EQ(cluster.recorder().metrics().counter_value("rbft.restarts", 3), 1u);
     EXPECT_EQ(injector.applied(), plan.events().size());
+}
+
+TEST(FaultInjector, RestartedNodeCarriesPlantedEngineFaults) {
+    core::ClusterConfig cfg;
+    cfg.seed = 11;
+    core::Cluster cluster(cfg);
+    // The master primary (node 0) sends node 1 a variant batch, and one vote
+    // is a quorum: node 1 commits a batch that nodes 2 and 3 do not.
+    bft::EngineTestFaults faults;
+    faults.equivocate_mask = 1ULL << 1;
+    faults.prepare_quorum_override = 1;
+    faults.commit_quorum_override = 1;
+    cluster.plant_engine_faults(faults);
+    cluster.start();
+
+    // Node 0 crashes and restarts before any request, so only the engines
+    // the restart built ever propose.
+    FaultPlan plan;
+    plan.crash(TimePoint{} + milliseconds(10.0), NodeId{0})
+        .recover(TimePoint{} + milliseconds(20.0), NodeId{0});
+    FaultInjector injector(cluster, plan);
+    injector.arm();
+    cluster.simulator().run_for(milliseconds(30.0));
+    ASSERT_EQ(cluster.recorder().metrics().counter_value("rbft.restarts", 0), 1u);
+
+    workload::ClientEndpoint client(ClientId{0}, cluster.simulator(), cluster.network(),
+                                    cluster.keys(), cluster.node_count(), cfg.f);
+    client.send_one();
+    cluster.simulator().run_for(milliseconds(200.0));
+
+    // The equivocation reached the masked peer: both delivered master seq 1,
+    // with different batches.
+    const auto& masked = cluster.node(1).commit_log();
+    const auto& unmasked = cluster.node(2).commit_log();
+    ASSERT_FALSE(masked.empty());
+    ASSERT_FALSE(unmasked.empty());
+    EXPECT_EQ(masked.front().first, 1u);
+    EXPECT_EQ(unmasked.front().first, 1u);
+    EXPECT_NE(masked.front().second, unmasked.front().second);
 }
 
 // ---------------------------------------------------------------------------

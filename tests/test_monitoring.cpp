@@ -100,17 +100,22 @@ TEST(Monitoring, DisabledMonitorStillFollowsQuorum) {
 }
 
 TEST(Monitoring, MinWindowGuardSuppressesLowTrafficVerdicts) {
-    // A trickle below min_window_requests must never trigger an instance
+    // A trickle below kMinWindowRequests must never trigger an instance
     // change even if the master happens to order nothing in some windows.
+    // A window counts the requests of both instances: 20 req/s is about 4
+    // per 100 ms window, well below 20.  The master primary holds every
+    // batch 40 ms, so its windows often miss what the backup's counted.
     ClusterConfig cfg;
     cfg.seed = 3;
-    cfg.monitoring.min_window_requests = 50;
     Cluster cluster(cfg);
+    bft::PrimaryBehavior late;
+    late.preprepare_delay = milliseconds(40.0);
+    cluster.node(0).engine(InstanceId{0}).set_primary_behavior(late);
     cluster.start();
     ClientEndpoint client(ClientId{0}, cluster.simulator(), cluster.network(), cluster.keys(),
                           4, 1);
     LoadGenerator load(cluster.simulator(), {&client},
-                       LoadSpec::constant(100.0, seconds(3.0), 1), Rng(5));
+                       LoadSpec::constant(20.0, seconds(3.0), 1), Rng(5));
     load.start();
     cluster.simulator().run_for(seconds(3.5));
     for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(cluster.node(i).cpi(), 0u);

@@ -212,13 +212,11 @@ TEST(RbftNode, MonitorSeriesRecordsBothInstances) {
 // Flood defense (§V).
 
 TEST(RbftNode, FloodClosesSourceNic) {
-    ClusterConfig cfg = quick_config();
-    cfg.flood_defense.invalid_threshold = 8;
-    Cluster cluster(cfg);
+    Cluster cluster(quick_config());
     cluster.start();
     auto flood = std::make_shared<net::FloodMsg>(net::kMaxFloodBytes,
                                                  net::FloodMsg::Target::kPropagation);
-    for (int i = 0; i < 20; ++i) {
+    for (std::uint64_t i = 0; i < Node::kFloodInvalidThreshold + 4; ++i) {
         cluster.network().send(net::Address::node(NodeId{3}), net::Address::node(NodeId{0}),
                                flood);
     }
@@ -230,12 +228,10 @@ TEST(RbftNode, FloodClosesSourceNic) {
 }
 
 TEST(RbftNode, FloodBelowThresholdKeepsNicOpen) {
-    ClusterConfig cfg = quick_config();
-    cfg.flood_defense.invalid_threshold = 100;
-    Cluster cluster(cfg);
+    Cluster cluster(quick_config());
     cluster.start();
     auto flood = std::make_shared<net::FloodMsg>(1000, net::FloodMsg::Target::kPropagation);
-    for (int i = 0; i < 5; ++i) {
+    for (std::uint64_t i = 0; i + 1 < Node::kFloodInvalidThreshold; ++i) {
         cluster.network().send(net::Address::node(NodeId{3}), net::Address::node(NodeId{0}),
                                flood);
     }
@@ -244,12 +240,10 @@ TEST(RbftNode, FloodBelowThresholdKeepsNicOpen) {
 }
 
 TEST(RbftNode, FloodDefenseDoesNotAffectOtherPeers) {
-    ClusterConfig cfg = quick_config();
-    cfg.flood_defense.invalid_threshold = 8;
-    Cluster cluster(cfg);
+    Cluster cluster(quick_config());
     cluster.start();
     auto flood = std::make_shared<net::FloodMsg>(1000, net::FloodMsg::Target::kPropagation);
-    for (int i = 0; i < 20; ++i) {
+    for (std::uint64_t i = 0; i < Node::kFloodInvalidThreshold + 4; ++i) {
         cluster.network().send(net::Address::node(NodeId{3}), net::Address::node(NodeId{0}),
                                flood);
     }

@@ -5,7 +5,6 @@
 //
 //   trace_inspect <trace.json> [faults] [--events] [--type <name>] [--node <id>]
 //   trace_inspect replay <violation.json>
-//   trace_inspect prof <profile.json>
 //
 // Prints: per-protocol-instance ordering rate and phase latencies
 // (pre-prepare -> prepared -> committed -> delivered), the protocol-instance
@@ -28,14 +27,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "check/artifact.hpp"
 #include "common/histogram.hpp"
-#include "obs/prof_report.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -251,26 +248,6 @@ int main(int argc, char** argv) {
             return 2;
         }
         return replay_artifact(argv[2]);
-    }
-    if (argc >= 2 && std::strcmp(argv[1], "prof") == 0) {
-        // Hotspot summary of a profile.json; tools/perf_report renders the
-        // full views (--collapse, --counters, --top N).
-        if (argc != 3) {
-            std::fprintf(stderr, "usage: trace_inspect prof <profile.json>\n");
-            return 2;
-        }
-        std::ifstream prof_in(argv[2]);
-        if (!prof_in) {
-            std::fprintf(stderr, "trace_inspect: cannot open %s\n", argv[2]);
-            return 1;
-        }
-        rbft::obs::prof::Report report;
-        if (!rbft::obs::prof::parse_profile_json(prof_in, report)) {
-            std::fprintf(stderr, "trace_inspect: no profile data in %s\n", argv[2]);
-            return 1;
-        }
-        rbft::obs::prof::render_hotspots(std::cout, report, 15);
-        return 0;
     }
     const char* path = nullptr;
     bool dump_events = false;
