@@ -9,9 +9,6 @@
 // registers one google-benchmark entry per point (Iterations(1)) to report
 // the counters, prints the paper-style table, and writes a machine-readable
 // BENCH_<name>.json artifact ($RBFT_BENCH_DIR or the working directory).
-// `--backend merged` re-runs every RBFT scenario of the bench
-// under that execution backend (suffixing the artifact name), so each paper
-// figure can be re-swept per backend without a dedicated binary.
 //
 // All collected state lives in the Harness instance — there is no
 // header-global storage, so nothing here is shared across concurrent runs.
@@ -26,13 +23,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <optional>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
-#include "bft/execution.hpp"
 #include "exp/parallel.hpp"
 #include "exp/runners.hpp"
 
@@ -73,28 +67,6 @@ public:
 
     /// Executes all points and reports.  Returns the process exit code.
     int run(int argc, char** argv) {
-        // `--backend merged|master-only` re-sweeps every RBFT scenario of
-        // this bench under that execution backend (bft::parse_backend
-        // names; baseline-protocol specs are untouched).
-        // The artifact name gains a `_<backend>` suffix so sweeps never
-        // clobber the master-only baseline JSON.
-        bool backend_ok = true;
-        const std::optional<bft::ExecutionBackend> backend =
-            parse_backend_flag(argc, argv, backend_ok);
-        if (!backend_ok) return 2;
-        if (backend && *backend != bft::ExecutionBackend::kMasterOnly) {
-            bench_name_ += std::string("_") + bft::backend_name(*backend);
-            std::printf("# --backend %s: re-sweeping RBFT scenarios\n",
-                        bft::backend_name(*backend));
-            for (Point& point : points_) {
-                for (exp::RunSpec& spec : point.specs) {
-                    if (auto* rbft = std::get_if<exp::RbftScenario>(&spec.scenario)) {
-                        rbft->backend = *backend;
-                    }
-                }
-            }
-        }
-
         const unsigned jobs = exp::parse_jobs_flag(argc, argv, exp::default_jobs());
         bool max_points_ok = true;
         const std::size_t max_points = parse_max_points(argc, argv, max_points_ok);
@@ -156,34 +128,6 @@ public:
     }
 
 private:
-    static std::optional<bft::ExecutionBackend> parse_backend_flag(int& argc, char** argv,
-                                                                   bool& ok) {
-        std::optional<bft::ExecutionBackend> backend;
-        int out = 0;
-        for (int i = 0; i < argc; ++i) {
-            const std::string arg = argv[i];
-            std::string value;
-            if (arg == "--backend" && i + 1 < argc) {
-                value = argv[++i];
-            } else if (arg.rfind("--backend=", 0) == 0) {
-                value = arg.substr(10);
-            } else {
-                argv[out++] = argv[i];
-                continue;
-            }
-            backend = bft::parse_backend(value);
-            if (!backend) {
-                std::fprintf(stderr,
-                             "bench: unknown --backend %s "
-                             "(want master-only or merged)\n",
-                             value.c_str());
-                ok = false;
-            }
-        }
-        argc = out;
-        return backend;
-    }
-
     static std::size_t parse_max_points(int& argc, char** argv, bool& ok) {
         std::size_t max_points = static_cast<std::size_t>(-1);
         int out = 0;

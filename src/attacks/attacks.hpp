@@ -145,14 +145,14 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Master degradation (drives an instance change under either backend).
+// Master degradation (drives an instance change with batches in flight).
 
 struct MasterDegradationConfig {
     /// Flat spacing between the malicious master primary's batches.  Unlike
     /// worst-attack-2 this is open-loop and well below Δ on purpose: the
     /// point is to *get caught* so the run exercises the instance-change
-    /// path with batches in flight — under merged execution the merge must
-    /// carry on across the master primary's replacement.
+    /// path with batches in flight, and execution must carry on across the
+    /// master primary's replacement.
     Duration inter_batch_gap = milliseconds(3.0);
     /// Extra delay before each PRE_PREPARE goes out, widening the window in
     /// which a master batch is proposed but not yet committed.

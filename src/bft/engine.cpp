@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "bft/execution.hpp"
 #include "crypto/sha256.hpp"
 
 namespace rbft::bft {

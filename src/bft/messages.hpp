@@ -52,6 +52,25 @@ struct RequestRef {
     static RequestRef decode(net::WireReader& r);
 };
 
+/// FNV-1a over the request identities of a batch: the content fingerprint
+/// used by the commit safety log and the agreement oracle (one formula,
+/// defined once).
+inline constexpr std::uint64_t kFingerprintSeed = 1469598103934665603ULL;
+inline constexpr std::uint64_t kFingerprintPrime = 1099511628211ULL;
+
+[[nodiscard]] inline std::uint64_t fingerprint_refs(const std::vector<RequestRef>& refs) {
+    std::uint64_t h = kFingerprintSeed;
+    const auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= kFingerprintPrime;
+    };
+    for (const auto& ref : refs) {
+        mix(raw(ref.client));
+        mix(raw(ref.rid));
+    }
+    return h;
+}
+
 // ---------------------------------------------------------------------------
 
 class RequestMsg final : public net::Message {

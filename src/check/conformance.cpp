@@ -66,14 +66,11 @@ enum class Family { kRbft, kAardvark, kSpinning, kPrime };
 struct Contender {
     const char* name;  // also the ConformanceScenario::contenders spelling
     Family family;
-    /// Meaningful for the RBFT family only (baselines have a fixed path).
-    bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
 };
 
-/// Every contender, RBFT backends first, then the baselines.
+/// Every contender, RBFT first, then the baselines.
 constexpr Contender kContenders[] = {
-    {"rbft", Family::kRbft, bft::ExecutionBackend::kMasterOnly},
-    {"rbft-merged", Family::kRbft, bft::ExecutionBackend::kMerged},
+    {"rbft", Family::kRbft},
     {"aardvark", Family::kAardvark},
     {"spinning", Family::kSpinning},
     {"prime", Family::kPrime},
@@ -85,7 +82,6 @@ ProtocolExecution run_contender(const Contender& entry, const ConformanceScenari
             core::ClusterConfig cfg;
             cfg.f = scenario.f;
             cfg.seed = scenario.seed;
-            cfg.backend = entry.backend;
             core::Cluster cluster(cfg);
             bft::EngineTestFaults faults;
             faults.equivocate_mask = scenario.equivocate_mask;
@@ -131,7 +127,7 @@ ConformanceResult run_conformance(const ConformanceScenario& scenario) {
                 scenario.contenders.end()) {
             continue;
         }
-        // Attack knobs only exist for the RBFT family; the baselines would
+        // Attack knobs only exist for RBFT; the baselines would
         // run fault-free and (correctly) diverge on timing, so they sit out.
         if (scenario.attacked() && entry.family != Family::kRbft) continue;
         result.runs.push_back(run_contender(entry, scenario));

@@ -1,16 +1,15 @@
-// Differential conformance: every contender (RBFT with each of its
-// execution backends, plus the Aardvark / Spinning / Prime baselines) under
-// the identical workload and seed.  Every protocol must complete the
-// same closed-loop request set — executed (client, request) pairs are
-// collected from client completions and compared across protocols.
+// Differential conformance: every contender (RBFT plus the Aardvark /
+// Spinning / Prime baselines) under the identical workload and seed.
+// Every protocol must complete the same closed-loop request set — executed
+// (client, request) pairs are collected from client completions and
+// compared across protocols.
 // Divergence means one implementation dropped, duplicated or invented a
 // request the others agreed on.
 //
 // The contender list is the table at the top of conformance.cpp.
-// Attack knobs (equivocation, master degradation) apply to the RBFT family
-// only and automatically restrict the run to it — the comparison is then
-// "merged execution commits the same request set as master-only RBFT even
-// under attack".
+// Attack knobs (equivocation, master degradation) apply to RBFT only and
+// automatically restrict the run to it — the check is then that RBFT
+// completes every closed-loop request under the attack.
 #pragma once
 
 #include <cstdint>
@@ -34,14 +33,14 @@ struct ConformanceScenario {
     /// Hard stop per protocol run (all completions normally land well
     /// before this).
     Duration time_limit = seconds(20.0);
-    /// Contenders by name ("rbft", "rbft-merged", "aardvark", "spinning",
-    /// "prime"); empty = every contender.
+    /// Contenders by name ("rbft", "aardvark", "spinning", "prime");
+    /// empty = every contender.
     std::vector<std::string> contenders;
-    /// Plant equivocating master engines at the masked nodes (RBFT family
-    /// only; selecting it drops the baselines from the run).
+    /// Plant equivocating master engines at the masked nodes (RBFT only;
+    /// selecting it drops the baselines from the run).
     std::uint64_t equivocate_mask = 0;
     /// Degrade the master primary until monitoring replaces it
-    /// (attacks::MasterDegradation; RBFT family only, drops the baselines).
+    /// (attacks::MasterDegradation; RBFT only, drops the baselines).
     bool master_degradation = false;
 
     [[nodiscard]] bool attacked() const noexcept {

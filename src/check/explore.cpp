@@ -131,7 +131,6 @@ ScheduleResult run_schedule(const ExploreScenario& scenario, std::uint64_t seed,
     cfg.pooled_messages = scenario.pooled_messages;
     cfg.checkpoint_interval = scenario.checkpoint_interval;
     cfg.engine_retry_interval = scenario.engine_retry_interval;
-    cfg.backend = scenario.backend;
 
     obs::Recorder recorder;
     cfg.recorder = &recorder;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bft/engine.hpp"
-#include "bft/execution.hpp"
 #include "check/oracles.hpp"
 #include "common/time.hpp"
 
@@ -69,10 +68,6 @@ struct ExploreScenario {
     std::uint32_t max_perturbations = 6;
     /// Planted engine bugs (oracle acceptance tests); correct by default.
     bft::EngineTestFaults test_faults{};
-    /// Ordering→execution backend to explore (the oracles consume
-    /// per-instance ordering events upstream of execution, so they apply
-    /// unchanged to both backends).
-    bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
     bool check_monitoring = true;
 };
 

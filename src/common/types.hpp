@@ -72,11 +72,6 @@ inline constexpr std::uint32_t kMaxNodes = 64;
     return f + 1;
 }
 
-/// Parallel-leader merged execution consumes the committed orders of all
-/// f+1 redundant instances: the number of per-instance streams the
-/// deterministic merge interleaves.
-[[nodiscard]] constexpr std::uint32_t merge_width(std::uint32_t f) noexcept { return f + 1; }
-
 /// SHA-256 digest of a request or batch.  Value type, comparable.
 struct Digest {
     std::array<std::uint8_t, 32> bytes{};

@@ -17,7 +17,6 @@ ChaosSoakOutput run_one(const ChaosSoakScenario& scenario, const fault::FaultPla
     cfg.pooled_messages = scenario.pooled_messages;
     cfg.checkpoint_interval = scenario.checkpoint_interval;
     cfg.engine_retry_interval = scenario.engine_retry_interval;
-    cfg.backend = scenario.backend;
 
     auto recorder = scenario.recorder ? scenario.recorder : std::make_shared<obs::Recorder>();
     cfg.recorder = recorder.get();

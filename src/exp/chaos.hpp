@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "bft/execution.hpp"
 #include "common/time.hpp"
 #include "exp/harness.hpp"
 #include "fault/plan.hpp"
@@ -50,9 +49,6 @@ struct ChaosSoakScenario {
     Duration engine_retry_interval = milliseconds(50.0);
     /// Small checkpoint interval so recovering replicas catch up quickly.
     std::uint64_t checkpoint_interval = 32;
-    /// Ordering→execution backend under soak (the commit-log safety check
-    /// is backend-invariant: both backends keep a master-anchored log).
-    bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
     /// Liveness bound: tail throughput must recover to within this factor
     /// of the fault-free twin (tail * factor >= baseline).
     double liveness_factor = 2.0;

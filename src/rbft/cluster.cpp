@@ -27,7 +27,6 @@ Cluster::Cluster(ClusterConfig config, ServiceFactory service_factory)
         nc.engine_retry_interval = config_.engine_retry_interval;
         nc.monitoring = config_.monitoring;
         nc.instances_override = config_.instances_override;
-        nc.backend = config_.backend;
         nc.recorder = recorder_;
         nc.message_pool = pool_.get();
         nodes_.push_back(std::make_unique<Node>(nc, simulator_, *network_, keys_,

@@ -43,8 +43,6 @@ struct ClusterConfig {
     crypto::CostModel costs{};
     /// 0 = f+1 instances (see NodeConfig::instances_override).
     std::uint32_t instances_override = 0;
-    /// Ordering→execution backend of every node (see NodeConfig::backend).
-    bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
     /// Metrics registry and flight recorder shared by the simulator, network
     /// and every node (must outlive the cluster); null = the cluster's own.
     obs::Recorder* recorder = nullptr;

@@ -1,6 +1,5 @@
 #include "rbft/node.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -29,12 +28,6 @@ Node::Node(NodeConfig config, sim::Simulator& simulator, net::Fabric& network,
     assert(config_.n <= kMaxNodes && "RequestState::propagated_by is a 64-bit NodeId mask");
     const std::uint32_t instances = config_.instance_count();
     assert(instances < 64 && "RequestState::ordered_by is a 64-bit InstanceId mask");
-    reset_merge();
-    const std::uint32_t first_free = kFirstReplicaCore + instances;
-    const std::uint32_t spare = kCores > first_free ? (kCores - first_free) / 2 : 0;
-    const std::uint32_t want =
-        config_.backend == bft::ExecutionBackend::kMerged ? merge_width(config_.f) : 1;
-    lanes_ = std::min(want, 1 + spare);
     make_engines(/*recovering=*/false);
     ordered_counters_.resize(instances);
 
@@ -123,8 +116,6 @@ void Node::restart() {
     if (!crashed_) return;
     for (auto& engine : engines_) retired_engines_.push_back(std::move(engine));
     engines_.clear();
-    // The merge's state is volatile, like the engines'.
-    reset_merge();
     make_engines(/*recovering=*/true);
 
     // Volatile protocol state did not survive the crash.  The node rejoins
@@ -282,7 +273,6 @@ void Node::on_message(net::Address from, const net::MessagePtr& m) {
 void Node::verification_receive(net::Address from,
                                 std::shared_ptr<const bft::RequestMsg> req) {
     if (blacklisted_clients_.contains(req->client)) return;
-    const std::uint32_t lane = lane_of(req->digest);
     ctr_requests_received_->add();
     if (recorder_->observing()) {
         recorder_->event({simulator_.now(), obs::EventType::kRequestReceived, raw(config_.id),
@@ -295,7 +285,7 @@ void Node::verification_receive(net::Address from,
         it != last_reply_.end() && it->second.first == req->rid) {
         const Duration cost =
             costs_.recv_overhead + costs_.digest(req->payload.size()) + costs_.mac_op;
-        verification_core(lane).submit(simulator_, cost, [this, req] {
+        cpu_.core(kVerificationCore).submit(simulator_, cost, [this, req] {
             if ((req->corrupt_mac_mask >> raw(config_.id)) & 1) return;
             auto again = last_reply_.find(req->client);
             if (again == last_reply_.end() || again->second.first != req->rid) return;
@@ -313,7 +303,7 @@ void Node::verification_receive(net::Address from,
     const auto found = requests_.find(key);
     const bool live = found != requests_.end();
     if (live ? (found->second.adopted || found->second.verifying) : executed_.contains(key)) {
-        verification_core(lane).charge(simulator_, costs_.recv_overhead);
+        cpu_.core(kVerificationCore).charge(simulator_, costs_.recv_overhead);
         // Repair mode: a retransmission of an adopted-but-unexecuted request
         // is re-offered with a fresh PROPAGATE.  A replica that lost its
         // volatile state in a crash cannot assemble a propagate quorum from
@@ -322,10 +312,10 @@ void Node::verification_receive(net::Address from,
         if (live && config_.engine_retry_interval.ns > 0 && found->second.adopted &&
             found->second.self_propagated && !executed_.contains(key)) {
             const auto stored = found->second.request;
-            verification_core(lane)
-                .submit(simulator_, costs_.mac_op, [this, lane, req, stored] {
+            cpu_.core(kVerificationCore)
+                .submit(simulator_, costs_.mac_op, [this, req, stored] {
                     if ((req->corrupt_mac_mask >> raw(config_.id)) & 1) return;
-                    propagation_core(lane)
+                    cpu_.core(kPropagationCore)
                         .submit(simulator_, Duration{}, [this, stored] {
                             propagation_self(stored, /*re_offer=*/true);
                         });
@@ -333,7 +323,7 @@ void Node::verification_receive(net::Address from,
         }
         return;
     }
-    if (verification_core(lane).backlog(simulator_) > milliseconds(50.0)) {
+    if (cpu_.core(kVerificationCore).backlog(simulator_) > milliseconds(50.0)) {
         return;  // bounded client queue: shed under overload
     }
     requests_[key].verifying = true;
@@ -343,7 +333,7 @@ void Node::verification_receive(net::Address from,
         costs_.recv_overhead + costs_.digest(req->payload.size()) + costs_.mac_op;
     ctr_mac_ops_->add();
     ctr_crypto_ns_->add(static_cast<std::uint64_t>(mac_cost.ns));
-    verification_core(lane).submit(simulator_, mac_cost, [this, lane, from, req] {
+    cpu_.core(kVerificationCore).submit(simulator_, mac_cost, [this, from, req] {
         RequestState& st = requests_[RequestKey{req->client, req->rid}];
         st.digest_computed = true;
         if ((req->corrupt_mac_mask >> raw(config_.id)) & 1) {
@@ -359,8 +349,8 @@ void Node::verification_receive(net::Address from,
             recorder_->event({simulator_.now(), obs::EventType::kCryptoCharge, raw(config_.id),
                               obs::kNoInstance, 1, 0, costs_.sig_verify_op.seconds()});
         }
-        verification_core(lane)
-            .submit(simulator_, costs_.sig_verify_op, [this, lane, req] {
+        cpu_.core(kVerificationCore)
+            .submit(simulator_, costs_.sig_verify_op, [this, req] {
                 if (req->corrupt_sig) {
                     ctr_requests_invalid_sig_->add();
                     blacklisted_clients_.insert(req->client);
@@ -379,7 +369,7 @@ void Node::verification_receive(net::Address from,
                 if (executed_.contains(RequestKey{req->client, req->rid})) return;
 
                 // Hand over to the Propagation module.
-                propagation_core(lane)
+                cpu_.core(kPropagationCore)
                     .submit(simulator_, Duration{},
                             [this, req] { propagation_self(req); });
             });
@@ -413,7 +403,7 @@ void Node::propagation_self(const std::shared_ptr<const bft::RequestMsg>& req, b
 
     // Generation: one MAC per receiver over the (cached) request digest,
     // plus per-destination send handling.
-    propagation_core(lane_of(req->digest))
+    cpu_.core(kPropagationCore)
         .charge(simulator_, costs_.authenticator_ops(config_.n) +
                                 costs_.send_overhead * static_cast<std::int64_t>(config_.n - 1));
     for (std::uint32_t i = 0; i < config_.n; ++i) {
@@ -426,8 +416,7 @@ void Node::propagation_self(const std::shared_ptr<const bft::RequestMsg>& req, b
 void Node::propagation_receive(NodeId from, std::shared_ptr<const PropagateMsg> msg) {
     ctr_propagates_received_->add();
     const Duration mac_cost = costs_.recv_overhead + costs_.mac_op;
-    const std::uint32_t lane = msg->request ? lane_of(msg->request->digest) : 0;
-    propagation_core(lane).submit(simulator_, mac_cost, [this, lane, from, msg] {
+    cpu_.core(kPropagationCore).submit(simulator_, mac_cost, [this, from, msg] {
         if ((msg->corrupt_mac_mask >> raw(config_.id)) & 1) {
             count_invalid(net::Address::node(from));
             return;
@@ -454,7 +443,7 @@ void Node::propagation_receive(NodeId from, std::shared_ptr<const PropagateMsg> 
             const Duration hash_cost =
                 state.digest_computed ? Duration{} : costs_.digest(req->payload.size());
             state.digest_computed = true;
-            verification_core(lane)
+            cpu_.core(kVerificationCore)
                 .submit(simulator_, hash_cost + costs_.sig_verify_op,
                         [this, req, key] {
                             if (req->corrupt_sig) {
@@ -549,10 +538,9 @@ void Node::engine_ordered(const bft::OrderedBatch& batch) {
     const std::uint32_t idx = raw(batch.instance);
     ordered_counters_[idx].add(batch.requests.size());
 
-    // Both backends fingerprint master batches into the safety log (kept
-    // across restarts — a recovered node's log simply has a hole where
-    // state transfer skipped delivery), so cross-node log agreement does
-    // not depend on the backend.
+    // Master batches are fingerprinted into the safety log (kept across
+    // restarts — a recovered node's log simply has a hole where state
+    // transfer skipped delivery).
     if (batch.instance == master_instance()) {
         commit_log_.emplace_back(raw(batch.seq), bft::fingerprint_refs(batch.requests));
     }
@@ -586,25 +574,8 @@ void Node::engine_ordered(const bft::OrderedBatch& batch) {
                 }
             }
         }
-        // Master-only executes the master's order; merged feeds the
-        // instances below the merge width into the merge instead.
-        if (merge_) {
-            if (idx < merge_->width()) merge_->push(idx, ref);
-        } else if (batch.instance == master_instance()) {
-            execute(ref);
-        }
+        if (batch.instance == master_instance()) execute(ref);
         release_finished(ref.key());
-    }
-    if (merge_) merge_->drain([this](const bft::RequestRef& ref) { execute(ref); });
-}
-
-void Node::reset_merge() {
-    merge_.reset();
-    if (config_.backend == bft::ExecutionBackend::kMerged) {
-        // Clamped to the node's actual instance count: the ablation benches
-        // override it below merge_width(f).
-        merge_.emplace(std::max<std::uint32_t>(
-            1, std::min(merge_width(config_.f), config_.instance_count())));
     }
 }
 

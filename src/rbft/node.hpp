@@ -29,12 +29,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
 #include "bft/engine.hpp"
-#include "bft/execution.hpp"
 #include "bft/messages.hpp"
 #include "common/det.hpp"
 #include "common/histogram.hpp"
@@ -104,11 +102,6 @@ struct NodeConfig {
     /// bench (e.g. 2f+1 instances).
     std::uint32_t instances_override = 0;
 
-    /// Ordering→execution backend: master-only (the paper's) or merged
-    /// (see bft/execution.hpp).  It also sets the client-facing pipeline
-    /// lanes (Node::lanes()).
-    bft::ExecutionBackend backend = bft::ExecutionBackend::kMasterOnly;
-
     [[nodiscard]] std::uint32_t instance_count() const noexcept {
         return instances_override > 0 ? instances_override : redundant_instances(f);
     }
@@ -175,16 +168,6 @@ public:
     [[nodiscard]] static constexpr InstanceId master_instance() noexcept { return InstanceId{0}; }
 
     [[nodiscard]] std::uint64_t cpi() const noexcept { return cpi_; }
-
-    /// Client-facing pipeline lanes (≥ 1): the Verification and Propagation
-    /// modules are sharded across this many (verification, propagation)
-    /// core pairs, keyed on the request digest.  Master-only keeps the
-    /// paper's single lane; merged execution asks for merge_width(f) lanes
-    /// to move the client-facing bottleneck off one core, mirroring how
-    /// parallel-leader designs (RCC/FnF) spread leader-side work.  Lane 0
-    /// uses the classic cores; extra lanes use one core pair each carved
-    /// from the cores above the replicas, clamped to what the CPU has free.
-    [[nodiscard]] std::uint32_t lanes() const noexcept { return lanes_; }
 
     /// Makes this node Byzantine: replicas abstain, modules stop serving.
     /// (Faulty traffic itself is generated by src/attacks.)
@@ -294,8 +277,6 @@ private:
     /// retired (no entry, and executed_ holds its key).
     RequestState* live_entry(const RequestKey& key);
     void execute(const bft::RequestRef& ref);
-    /// Rebuilds the merged backend's merge (empty under master-only).
-    void reset_merge();
     void send_reply(ClientId client, const bft::ReplyMsg& reply);
 
     // Monitoring.
@@ -317,23 +298,6 @@ private:
         return cpu_.core(kFirstReplicaCore + raw(i));
     }
 
-    // Pipeline-lane sharding of the client-facing modules.  Lane 0 keeps the
-    // classic Verification/Propagation cores; every extra lane gets a
-    // (verification, propagation) core pair above the replica cores.  With
-    // lanes_ == 1 every request maps to lane 0 and the layout is
-    // byte-identical to the seed.
-    [[nodiscard]] std::uint32_t lane_of(const Digest& digest) const noexcept {
-        return lanes_ <= 1 ? 0 : digest.bytes[0] % lanes_;
-    }
-    [[nodiscard]] sim::CpuCore& verification_core(std::uint32_t lane) {
-        return lane == 0 ? cpu_.core(kVerificationCore)
-                         : cpu_.core(kFirstReplicaCore + instance_count() + 2 * (lane - 1));
-    }
-    [[nodiscard]] sim::CpuCore& propagation_core(std::uint32_t lane) {
-        return lane == 0 ? cpu_.core(kPropagationCore)
-                         : cpu_.core(kFirstReplicaCore + instance_count() + 2 * (lane - 1) + 1);
-    }
-
     NodeConfig config_;
     sim::Simulator& simulator_;
     net::Fabric& network_;
@@ -341,11 +305,6 @@ private:
     const crypto::CostModel& costs_;
     std::unique_ptr<Service> service_;
     sim::NodeCpu cpu_;
-
-    // The merged backend's merge (empty under master-only; rebuilt on
-    // restart, like the engines) and the clamped client-facing lane count.
-    std::optional<bft::DeterministicMerge> merge_;
-    std::uint32_t lanes_ = 1;
 
     std::vector<std::unique_ptr<bft::InstanceEngine>> engines_;
     // Replicas retired by a crash.  They must outlive any simulator/CPU

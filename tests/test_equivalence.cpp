@@ -113,16 +113,6 @@ TEST(EquivalenceSmoke, AardvarkFaultFree) {
                       "aardvark fault-free");
 }
 
-// The merged backend is a behavioral change, not a pure perf knob, but it
-// must itself be deterministic: the pool flip stays byte-identical within
-// a backend.
-
-TEST(EquivalenceSmoke, RbftMergedBackend) {
-    RbftScenario s = short_rbft();
-    s.backend = bft::ExecutionBackend::kMerged;
-    expect_equivalent(s, rbft_runner(), "rbft merged backend");
-}
-
 }  // namespace
 }  // namespace rbft::exp
 
@@ -177,13 +167,6 @@ TEST(EquivalenceFigures, AblationDeltaAndInstances) {
     s.delta = 0.90;
     s.instances_override = 1;
     expect_equivalent(s, rbft_runner(), "ablation delta=0.90 instances=1");
-}
-
-TEST(EquivalenceFigures, MergedBackendUnderWorst2Attack) {
-    RbftScenario s = short_rbft();
-    s.attack = RbftScenario::Attack::kWorst2;
-    s.backend = bft::ExecutionBackend::kMerged;
-    expect_equivalent(s, rbft_runner(), "merged backend worst-attack-2");
 }
 
 TEST(EquivalenceFigures, Fig2AardvarkAttack) {

@@ -167,11 +167,10 @@ TEST(FaultInjector, RestartedNodeCarriesPlantedEngineFaults) {
 // of the fault-free twin, and produces a byte-identical trace when re-run
 // with the same seed.
 
-void expect_soak_safe_live_and_reproducible(bft::ExecutionBackend backend) {
-    const auto run = [backend] {
+TEST(ChaosSoak, SeededSoakIsSafeLiveAndReproducible) {
+    const auto run = [] {
         exp::ChaosSoakScenario scenario;
         scenario.seed = 1;
-        scenario.backend = backend;
         scenario.recorder = std::make_shared<obs::Recorder>();
         scenario.recorder->enable_trace();
         return exp::run_chaos_soak(scenario);
@@ -216,15 +215,6 @@ void expect_soak_safe_live_and_reproducible(bft::ExecutionBackend backend) {
     b.recorder->write_metrics_json(metrics_b);
     EXPECT_EQ(metrics_a.str(), metrics_b.str());
     EXPECT_EQ(a.completed, b.completed);
-}
-
-TEST(ChaosSoak, SeededSoakIsSafeLiveAndReproducible) {
-    // Merged execution keeps its merge in volatile node state, which a
-    // restart rebuilds, so the soak runs under both backends.
-    for (auto backend : {bft::ExecutionBackend::kMasterOnly, bft::ExecutionBackend::kMerged}) {
-        SCOPED_TRACE(bft::backend_name(backend));
-        expect_soak_safe_live_and_reproducible(backend);
-    }
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //   check_explore [--seeds N] [--first-seed S] [--jobs J] [--f F]
 //                 [--duration-ms MS] [--clients C] [--max-perturbations P]
 //                 [--artifact PATH] [--equivocate-mask M] [--prepare-quorum Q]
-//                 [--commit-quorum Q] [--backend master-only|merged]
+//                 [--commit-quorum Q]
 //
 // Seeds run on up to J worker threads (default: hardware concurrency); the
 // outcome is byte-identical at any job count.
@@ -61,19 +61,12 @@ int main(int argc, char** argv) {
             scenario.test_faults.prepare_quorum_override = static_cast<std::uint32_t>(v);
         } else if (std::strcmp(argv[i], "--commit-quorum") == 0 && next_u64(v)) {
             scenario.test_faults.commit_quorum_override = static_cast<std::uint32_t>(v);
-        } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-            const auto backend = rbft::bft::parse_backend(argv[++i]);
-            if (!backend) {
-                std::fprintf(stderr, "check_explore: unknown backend '%s'\n", argv[i]);
-                return 2;
-            }
-            scenario.backend = *backend;
         } else {
             std::fprintf(stderr,
                          "usage: check_explore [--seeds N] [--first-seed S] [--jobs J] "
                          "[--f F] [--duration-ms MS] [--clients C] [--max-perturbations P] "
                          "[--artifact PATH] [--equivocate-mask M] [--prepare-quorum Q] "
-                         "[--commit-quorum Q] [--backend master-only|merged]\n");
+                         "[--commit-quorum Q]\n");
             return 2;
         }
     }
@@ -83,11 +76,6 @@ int main(int argc, char** argv) {
                 num_seeds, static_cast<unsigned long long>(first_seed), scenario.f,
                 3 * scenario.f + 1, scenario.duration.seconds() * 1e3,
                 scenario.max_perturbations, jobs);
-    if (scenario.backend != rbft::bft::ExecutionBackend::kMasterOnly) {
-        // Printed only off the default path so default output stays
-        // byte-comparable across revisions.
-        std::printf("backend: %s\n", rbft::bft::backend_name(scenario.backend));
-    }
     if (scenario.test_faults.any()) {
         std::printf("planted faults: equivocate_mask=%llx prepare_quorum=%u commit_quorum=%u\n",
                     static_cast<unsigned long long>(scenario.test_faults.equivocate_mask),
