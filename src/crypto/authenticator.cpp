@@ -9,12 +9,9 @@ MacAuthenticator make_authenticator(const KeyStore& keys, Principal sender,
     MacAuthenticator auth;
     auth.sender = sender;
     auth.macs.reserve(node_count);
-    const BytesView digest_view(body_digest.bytes.data(), body_digest.bytes.size());
-    for (std::uint32_t i = 0; i < node_count; ++i) {
-        const SymmetricKey key = keys.pairwise_key(sender, Principal::node(NodeId{i}));
-        auth.macs.push_back(compute_mac(key, digest_view));
-        keys.note_mac();
-    }
+    keys.mac_to_nodes(sender, node_count,
+                      BytesView(body_digest.bytes.data(), body_digest.bytes.size()), auth.macs);
+    keys.note_mac(node_count);
     return auth;
 }
 
@@ -28,9 +25,9 @@ bool verify_authenticator(const KeyStore& keys, const MacAuthenticator& auth,
                           NodeId receiver, const Digest& body_digest) {
     const std::uint32_t idx = raw(receiver);
     if (idx >= auth.macs.size()) return false;
-    const SymmetricKey key = keys.pairwise_key(auth.sender, Principal::node(receiver));
     keys.note_mac();
-    return verify_mac(key, BytesView(body_digest.bytes.data(), body_digest.bytes.size()),
+    return macs_equal(keys.mac(auth.sender, Principal::node(receiver),
+                               BytesView(body_digest.bytes.data(), body_digest.bytes.size())),
                       auth.macs[idx]);
 }
 

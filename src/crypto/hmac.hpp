@@ -12,6 +12,7 @@
 
 #include "common/bytes.hpp"
 #include "common/types.hpp"
+#include "crypto/sha256.hpp"
 
 namespace rbft::crypto {
 
@@ -28,7 +29,35 @@ struct SymmetricKey {
     auto operator<=>(const SymmetricKey&) const = default;
 };
 
-/// Full HMAC-SHA256 over `data` with `key`.
+/// A key's HMAC-SHA256 precomputation: the hash states after absorbing the
+/// ipad and the opad block.  Built once per key, it saves two of the four
+/// compressions an HMAC over a 32-byte digest otherwise runs.
+class HmacKey {
+public:
+    explicit HmacKey(const SymmetricKey& key) noexcept : HmacKey(key, Sha256{}) {}
+    /// As above, compressing with `engine` (tests compare the engines).
+    HmacKey(const SymmetricKey& key, Sha256Engine engine) noexcept
+        : HmacKey(key, Sha256{engine}) {}
+
+    /// HMAC-SHA256 over `data`; adds the blocks it compresses to `blocks`.
+    [[nodiscard]] Digest hmac(BytesView data, std::uint64_t& blocks) const noexcept;
+    /// The same, truncated to the wire tag.
+    [[nodiscard]] Mac mac(BytesView data, std::uint64_t& blocks) const noexcept;
+
+    /// Blocks the precomputation compressed (one per pad).
+    [[nodiscard]] std::uint64_t setup_blocks() const noexcept {
+        return inner_.blocks() + outer_.blocks();
+    }
+
+private:
+    HmacKey(const SymmetricKey& key, const Sha256& fresh) noexcept;
+
+    Sha256 inner_;
+    Sha256 outer_;
+};
+
+/// Full HMAC-SHA256 over `data` with `key`, from scratch (four compressions
+/// for a short message).
 [[nodiscard]] Digest hmac_sha256(const SymmetricKey& key, BytesView data) noexcept;
 
 /// Truncated tag used on the wire.
@@ -36,6 +65,9 @@ struct SymmetricKey {
 
 /// Constant-time-style comparison (the simulator has no timing side channel,
 /// but the API mirrors what a production library must do).
+[[nodiscard]] bool macs_equal(const Mac& a, const Mac& b) noexcept;
+
+/// Recomputes the tag over `data` and compares it with macs_equal.
 [[nodiscard]] bool verify_mac(const SymmetricKey& key, BytesView data, const Mac& tag) noexcept;
 
 }  // namespace rbft::crypto

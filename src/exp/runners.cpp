@@ -64,6 +64,7 @@ void bridge_crypto_stats(obs::Recorder& recorder, const crypto::KeyStore& keys) 
     profiler->counter("crypto.sigs_computed")->add(stats.sigs_computed);
     profiler->counter("crypto.keys_derived")->add(stats.keys_derived);
     profiler->counter("crypto.key_cache_hits")->add(stats.key_cache_hits);
+    profiler->counter("crypto.sha_blocks")->add(stats.sha_blocks);
 }
 
 void maybe_export(const obs::Recorder& recorder) {

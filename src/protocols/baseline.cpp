@@ -147,10 +147,9 @@ void BaselineNode::execute_request(const bft::RequestRef& ref) {
         reply.rid = req->rid;
         reply.node = config_.id;
         reply.result = service_->execute(req->client, req->payload);
-        reply.mac = crypto::compute_mac(
-            keys_.pairwise_key(crypto::Principal::node(config_.id),
-                               crypto::Principal::client(req->client)),
-            BytesView(reply.result.data(), reply.result.size()));
+        reply.mac = keys_.mac(crypto::Principal::node(config_.id),
+                              crypto::Principal::client(req->client),
+                              BytesView(reply.result.data(), reply.result.size()));
         last_reply_[req->client] = {req->rid, reply};
         network_.send(net::Address::node(config_.id), net::Address::client(req->client),
                       net::make_msg<bft::ReplyMsg>(config_.message_pool, reply));

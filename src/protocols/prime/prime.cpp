@@ -299,10 +299,9 @@ void PrimeNode::execute_po(const PoRequestMsg& po) {
             reply.rid = req->rid;
             reply.node = config_.id;
             reply.result = service_->execute(req->client, req->payload);
-            reply.mac = crypto::compute_mac(
-                keys_.pairwise_key(crypto::Principal::node(config_.id),
-                                   crypto::Principal::client(req->client)),
-                BytesView(reply.result.data(), reply.result.size()));
+            reply.mac = keys_.mac(crypto::Principal::node(config_.id),
+                                  crypto::Principal::client(req->client),
+                                  BytesView(reply.result.data(), reply.result.size()));
             network_.send(net::Address::node(config_.id), net::Address::client(req->client),
                           net::make_msg<bft::ReplyMsg>(config_.message_pool, reply));
             ctr_requests_executed_->add();

@@ -604,10 +604,9 @@ void Node::execute(const bft::RequestRef& ref) {
         reply.rid = req->rid;
         reply.node = config_.id;
         reply.result = service_->execute(req->client, req->payload);
-        reply.mac = crypto::compute_mac(
-            keys_.pairwise_key(crypto::Principal::node(config_.id),
-                               crypto::Principal::client(req->client)),
-            BytesView(reply.result.data(), reply.result.size()));
+        reply.mac = keys_.mac(crypto::Principal::node(config_.id),
+                              crypto::Principal::client(req->client),
+                              BytesView(reply.result.data(), reply.result.size()));
         last_reply_[req->client] = {req->rid, reply};
         send_reply(req->client, reply);
     });

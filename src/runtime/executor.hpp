@@ -10,8 +10,9 @@
 //      moves the sim clock forward even through empty stretches, so
 //      sim-time and wall-time stay aligned and due timers fire;
 //   2. asks next_event_time() when the next timer is due and uses that as
-//      the poll(2) deadline, so the process sleeps in the kernel instead of
-//      spinning;
+//      the ppoll(2) deadline, so the process sleeps in the kernel instead of
+//      spinning — at nanosecond resolution, so a timer due in under a
+//      millisecond is a short sleep, not a zero-timeout poll;
 //   3. services the transport, which delivers received messages back into
 //      the simulator at "now".
 //
@@ -20,6 +21,8 @@
 // property that lets the kill-recovery smoke compare a real cluster's
 // committed prefix byte-for-byte against a simulator run.
 #pragma once
+
+#include <sys/prctl.h>
 
 #include "common/time.hpp"
 #include "runtime/clock.hpp"
@@ -30,10 +33,15 @@ namespace rbft::runtime {
 
 class WallClockExecutor {
 public:
+    /// Also sets the calling thread's timer slack to 1 ns: the thread that
+    /// steps the executor needs its ppoll deadlines kept, where the default
+    /// 50 us slack would let a 1 ms batch timer fire up to that late.
     WallClockExecutor(Clock& clock, sim::Simulator& simulator, TcpTransport& transport)
-        : clock_(clock), simulator_(simulator), transport_(transport) {}
+        : clock_(clock), simulator_(simulator), transport_(transport) {
+        (void)prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+    }
 
-    /// One iteration: advance timers, sleep in poll(2) until the next timer
+    /// One iteration: advance timers, sleep in ppoll(2) until the next timer
     /// or inbound traffic (at most `max_poll`), then run whatever arrived.
     void step(Duration max_poll = milliseconds(50.0)) {
         (void)simulator_.run_until(clock_.now());

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -295,10 +296,12 @@ void TcpTransport::poll(Duration max_wait) {
     for (const auto& [key, peer] : peers_) {
         if (peer.conn == 0) wait_ns = std::min(wait_ns, (peer.next_dial - now).ns);
     }
-    const int timeout_ms =
-        wait_ns <= 0 ? 0 : static_cast<int>(std::min<std::int64_t>(wait_ns / 1'000'000, 60'000));
-
-    const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
+    // ppoll, not poll: a timer due in under a millisecond must not round
+    // the wait down to zero and turn the loop into a busy spin.
+    wait_ns = std::clamp<std::int64_t>(wait_ns, 0, 60'000'000'000);
+    const timespec timeout{static_cast<time_t>(wait_ns / 1'000'000'000),
+                           static_cast<long>(wait_ns % 1'000'000'000)};
+    const int ready = ::ppoll(fds.data(), fds.size(), &timeout, nullptr);
     if (ready <= 0) return;
 
     for (std::size_t i = 0; i < fds.size(); ++i) {

@@ -113,7 +113,7 @@ public:
 
     /// Services the sockets once: accepts, dials due peers, flushes
     /// outboxes, reads frames (invoking the frame handler inline).  Blocks
-    /// in poll(2) for at most `max_wait`.
+    /// in ppoll(2) for at most `max_wait`, to the nanosecond.
     void poll(Duration max_wait);
 
     void set_frame_handler(FrameHandler h) { on_frame_ = std::move(h); }

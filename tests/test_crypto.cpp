@@ -1,9 +1,14 @@
 // Unit tests for the crypto substrate: SHA-256 against FIPS/NIST vectors,
-// HMAC-SHA256 against RFC 4231 vectors, MACs, the keystore, MAC
-// authenticators and the cost model.
+// HMAC-SHA256 against RFC 4231 vectors, both on the portable and on the
+// SHA-NI compression function, MACs, the keystore, MAC authenticators and
+// the cost model.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "crypto/authenticator.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/hmac.hpp"
@@ -84,6 +89,116 @@ TEST(Sha256, ReuseAfterReset) {
               "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
+TEST(Sha256, CountsCompressedBlocks) {
+    // 55 bytes pad into one block, 56 spill the length into a second.
+    struct Case {
+        std::size_t size;
+        std::uint64_t blocks;
+    };
+    for (const Case c : {Case{0, 1}, Case{55, 1}, Case{56, 2}, Case{64, 2}, Case{1000, 16}}) {
+        Sha256 hasher;
+        hasher.update(BytesView(Bytes(c.size, 0x61)));
+        (void)hasher.finish();
+        EXPECT_EQ(hasher.blocks(), c.blocks) << c.size;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Both compression functions.  Each known-answer vector runs through each
+// engine; the SHA-NI half skips on CPUs without the extensions.
+
+class Sha256Engines : public ::testing::TestWithParam<Sha256Engine> {
+protected:
+    void SetUp() override {
+        if (GetParam() == Sha256Engine::kShaNi && !sha_ni_available()) {
+            GTEST_SKIP() << "CPU has no SHA extensions";
+        }
+    }
+    [[nodiscard]] std::string hash_hex(const Bytes& msg) const {
+        Sha256 hasher(GetParam());
+        hasher.update(BytesView(msg));
+        return hasher.finish().hex();
+    }
+};
+
+TEST_P(Sha256Engines, NistVectors) {
+    EXPECT_EQ(hash_hex({}), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(hash_hex(to_bytes("abc")),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(hash_hex(to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+    EXPECT_EQ(hash_hex(to_bytes("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                                "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")),
+              "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+    EXPECT_EQ(hash_hex(Bytes(1000000, 'a')),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256Engines, HmacRfc4231Vectors) {
+    // RFC 4231 test cases 1-5.  HMAC zero-pads a short key to the block
+    // size, so a key shorter than 32 bytes zero-padded to SymmetricKey is
+    // the RFC's key.  (Cases 6 and 7 use keys longer than a block.)
+    struct Case {
+        Bytes key;
+        Bytes data;
+        const char* hmac_hex;
+    };
+    const Case cases[] = {
+        {Bytes(20, 0x0b), to_bytes("Hi There"),
+         "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+        {to_bytes("Jefe"), to_bytes("what do ya want for nothing?"),
+         "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+        {Bytes(20, 0xaa), Bytes(50, 0xdd),
+         "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+        {from_hex("0102030405060708090a0b0c0d0e0f10111213141516171819"),
+         Bytes(50, 0xcd), "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+    };
+    for (const Case& c : cases) {
+        SymmetricKey key{};
+        std::copy(c.key.begin(), c.key.end(), key.bytes.begin());
+        std::uint64_t blocks = 0;
+        EXPECT_EQ(HmacKey(key, GetParam()).hmac(BytesView(c.data), blocks).hex(), c.hmac_hex);
+    }
+
+    // Case 5: output truncated to 128 bits, which is exactly the wire Mac.
+    SymmetricKey key{};
+    std::fill_n(key.bytes.begin(), 20, std::uint8_t{0x0c});
+    std::uint64_t blocks = 0;
+    const Bytes data = to_bytes("Test With Truncation");
+    const Mac tag = HmacKey(key, GetParam()).mac(BytesView(data), blocks);
+    EXPECT_EQ(to_hex(BytesView(tag.bytes.data(), tag.bytes.size())),
+              "a3b6167473100ee06e0c796c2955552b");
+}
+
+std::string engine_name(const ::testing::TestParamInfo<Sha256Engine>& param) {
+    return param.param == Sha256Engine::kShaNi ? "ShaNi" : "Portable";
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, Sha256Engines,
+                         ::testing::Values(Sha256Engine::kPortable, Sha256Engine::kShaNi),
+                         engine_name);
+
+TEST(Sha256, ShaNiMatchesPortableOnRandomInputsAndChunkings) {
+    if (!sha_ni_available()) GTEST_SKIP() << "CPU has no SHA extensions";
+    Rng rng(2024);
+    for (int trial = 0; trial < 2000; ++trial) {
+        Bytes msg(rng.next_below(1001));
+        for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
+        Sha256 portable(Sha256Engine::kPortable);
+        Sha256 shani(Sha256Engine::kShaNi);
+        for (std::size_t off = 0; off < msg.size();) {
+            const std::size_t len =
+                std::min<std::size_t>(1 + rng.next_below(200), msg.size() - off);
+            portable.update(BytesView(msg.data() + off, len));
+            shani.update(BytesView(msg.data() + off, len));
+            off += len;
+        }
+        ASSERT_EQ(shani.finish(), portable.finish())
+            << "trial " << trial << " size " << msg.size();
+        ASSERT_EQ(shani.blocks(), portable.blocks());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // HMAC-SHA256 (RFC 4231).
 
@@ -92,9 +207,8 @@ TEST(Hmac, Rfc4231Case2) {
     const char* k = "Jefe";
     for (int i = 0; i < 4; ++i) key.bytes[i] = static_cast<std::uint8_t>(k[i]);
     const Bytes msg = to_bytes("what do ya want for nothing?");
-    // RFC 4231 uses the exact 4-byte key; our API pads to 32 bytes, so this
-    // checks HMAC structure against an independently computed value for the
-    // padded key rather than the RFC digest.  Structural checks:
+    // Structural checks; the RFC digest itself is checked, on both
+    // compression engines, by Sha256Engines.HmacRfc4231Vectors.
     const Digest d1 = hmac_sha256(key, BytesView(msg));
     const Digest d2 = hmac_sha256(key, BytesView(msg));
     EXPECT_EQ(d1, d2);
@@ -223,6 +337,59 @@ TEST(KeyStore, SignatureRejectsTamperedTag) {
     auto sig = ks.sign(Principal::client(ClientId{3}), BytesView(msg));
     sig.tag.bytes[10] ^= 0xFF;
     EXPECT_FALSE(ks.verify(sig, BytesView(msg)));
+}
+
+TEST(KeyStore, MidstateMacsEqualFromScratchHmacForEveryPair) {
+    // 4 nodes and 3 clients with sparse ids; every ordered pair, including
+    // a principal with itself, in an order that grows the tables midway.
+    KeyStore ks(11);
+    const std::vector<Principal> principals = {
+        Principal::client(ClientId{90000}), Principal::node(NodeId{3}),
+        Principal::client(ClientId{0}),     Principal::node(NodeId{0}),
+        Principal::node(NodeId{2}),         Principal::client(ClientId{7}),
+        Principal::node(NodeId{1}),
+    };
+    const Bytes msg = to_bytes("reply-or-digest");
+    const Digest digest = sha256(BytesView(msg));
+    const BytesView digest_view(digest.bytes.data(), digest.bytes.size());
+    for (const Principal a : principals) {
+        for (const Principal b : principals) {
+            const SymmetricKey key = ks.pairwise_key(a, b);
+            EXPECT_EQ(ks.mac(a, b, BytesView(msg)), compute_mac(key, BytesView(msg)));
+            EXPECT_EQ(ks.mac(b, a, digest_view), compute_mac(key, digest_view));
+        }
+        const MacAuthenticator auth = make_authenticator(ks, a, 4, digest);
+        ASSERT_EQ(auth.macs.size(), 4u);
+        for (std::uint32_t i = 0; i < 4; ++i) {
+            const SymmetricKey key = ks.pairwise_key(a, Principal::node(NodeId{i}));
+            EXPECT_EQ(auth.macs[i], compute_mac(key, digest_view));
+            EXPECT_TRUE(verify_authenticator(ks, auth, NodeId{i}, digest));
+        }
+    }
+}
+
+TEST(KeyStore, CachedMacRunsTwoCompressions) {
+    KeyStore ks(9);
+    const Digest digest = sha256(BytesView(to_bytes("body")));
+    const Principal client = Principal::client(ClientId{1});
+
+    // First use derives each key (one block per pad, one per derivation's
+    // inner and outer hash) before the MAC itself.
+    (void)make_authenticator(ks, client, 4, digest);
+    const std::uint64_t after_first = ks.stats().sha_blocks;
+    EXPECT_EQ(after_first, 4u * (2 + 2 + 2));
+
+    // Then each MAC over a 32-byte digest is an inner and an outer block.
+    (void)make_authenticator(ks, client, 4, digest);
+    EXPECT_EQ(ks.stats().sha_blocks - after_first, 4u * 2);
+    EXPECT_TRUE(verify_authenticator(ks, make_authenticator(ks, client, 4, digest), NodeId{2},
+                                     digest));
+    EXPECT_EQ(ks.stats().sha_blocks - after_first, 4u * 2 + 4 * 2 + 2);
+
+    const Signature sig = ks.sign(client, digest);
+    const std::uint64_t after_sign = ks.stats().sha_blocks;
+    EXPECT_TRUE(ks.verify(sig, digest));
+    EXPECT_EQ(ks.stats().sha_blocks - after_sign, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -285,6 +285,21 @@ void pump(TcpTransport& a, TcpTransport& b, Pred done, int rounds = 2000) {
     }
 }
 
+TEST(Transport, SubMillisecondWaitSleepsInsteadOfSpinning) {
+    // A timer due in 300 us must cost a 300 us sleep.  Rounding the wait
+    // down to whole milliseconds made it a zero-timeout poll, so a node
+    // with a timer under a millisecond away spun until it fired.
+    SteadyClock clock;
+    TcpTransport transport(clock, 1);
+    std::string error;
+    ASSERT_TRUE(transport.listen(0, &error)) << error;
+    for (int i = 0; i < 3; ++i) {
+        const TimePoint before = clock.now();
+        transport.poll(microseconds(300.0));
+        EXPECT_GE((clock.now() - before).ns, microseconds(300.0).ns) << "poll " << i;
+    }
+}
+
 TEST(Transport, LoopbackFrameExchange) {
     SteadyClock clock;
     TcpTransport server(clock, 1);
